@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models as mm
-from .domains import DomainDataset, one_hot
-from .train import (MethodSpec, RunResult, TrainConfig, ConfigError,
-                    entropy_like_ce, run_method, softmax_np)
+from .domains import DomainDataset
+from .train import MethodSpec, RunResult, TrainConfig, ConfigError, run_method
 
 
 class AnalysisError(Exception):
@@ -163,16 +161,3 @@ def sweep_alpha(suite: list[DomainDataset], config: TrainConfig, grid) -> list[d
         rows.append(row)
     return rows
 
-
-def probe_expert_losses(run: RunResult, sources: list[DomainDataset]) -> np.ndarray:
-    """Per-probe-sample loss of each sample's own-domain expert at selection."""
-    experts = run.selected_expert_models()
-    if experts is None:
-        raise AnalysisError("run has no experts")
-    k = sources[0].n_classes
-    flat = np.zeros(len(run.probe.y))
-    for i, e in enumerate(experts):
-        mask = run.probe.domain_ids == sources[i].domain_id
-        q = softmax_np(mm.forward_array(e, run.probe.x[mask]))
-        flat[mask] = entropy_like_ce(q, one_hot(run.probe.y[mask], k))
-    return flat

@@ -51,9 +51,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def accumulate_grad(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -162,20 +159,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes differ: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data - b.data
-
-    def backward(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad)
-        if b.requires_grad:
-            b.accumulate_grad(-out.grad)
-
-    return _result(out_data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
@@ -231,19 +214,6 @@ def sum_all(t: Tensor) -> Tensor:
     def backward(out):
         if t.requires_grad:
             t.accumulate_grad(np.full_like(t.data, out.grad.reshape(())))
-
-    return _result(out_data, (t,), backward)
-
-
-def sum_rows(t: Tensor) -> Tensor:
-    """Row sums of a 2-D tensor: [B,K] -> [B]."""
-    if t.data.ndim != 2:
-        raise ShapeError(f"sum_rows needs a 2-D tensor, got shape {t.data.shape}")
-    out_data = t.data.sum(axis=1)
-
-    def backward(out):
-        if t.requires_grad:
-            t.accumulate_grad(np.repeat(out.grad[:, None], t.data.shape[1], axis=1))
 
     return _result(out_data, (t,), backward)
 

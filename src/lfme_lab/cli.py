@@ -75,8 +75,10 @@ def load_config(args) -> dict:
             value = raw
         node = config
         parts = key.split(".")
-        for p in parts[:-1]:
+        for i, p in enumerate(parts[:-1]):
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise CliError(f"--set {key}: config.{'.'.join(parts[:i + 1])} is not an object")
         node[parts[-1]] = value
 
     if getattr(args, "method", None):
@@ -105,8 +107,13 @@ def load_config(args) -> dict:
 def validate_config(config: dict):
     if not config["methods"]:
         raise CliError("config.methods must be nonempty")
-    if not config["seeds"]:
-        raise CliError("config.seeds must be nonempty")
+    seeds, held_out = config["seeds"], config["held_out"]
+    if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
+        raise CliError(f"config.seeds must be a nonempty list of integers, got {seeds!r}")
+    if held_out not in ("all", "last") and not (
+            isinstance(held_out, list) and all(type(h) is int for h in held_out)):
+        raise CliError('config.held_out must be "all", "last" or a list of domain ids, '
+                       f"got {held_out!r}")
     if config["methods"] == "all":
         config["methods"] = [dict(m) for m in ALL_METHODS_PRESET]
     for i, m in enumerate(config["methods"]):

@@ -8,6 +8,7 @@ a domain-weighting network, all updated by a single shared optimizer.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,15 @@ class ConfigError(Exception):
     """Invalid method or training configuration."""
 
 
+def _require_finite(obj, names, kind=numbers.Real):
+    """Raise ConfigError naming the first field that is not a finite ``kind``."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
+            noun = "an integer" if kind is numbers.Integral else "a finite number"
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     kind: str
@@ -60,6 +70,7 @@ class MethodSpec:
     def validate(self):
         if self.kind not in METHOD_KINDS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
+        _require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"))
         if self.alpha_half < 0:
             raise ConfigError(f"alpha_half must be >= 0, got {self.alpha_half}")
         if not 0.0 <= self.ls_epsilon < 1.0:
@@ -85,61 +96,108 @@ class TrainConfig:
     def validate(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        _require_finite(self, ("lr", "weight_decay"))
+        _require_finite(self, ("steps", "batch_per_domain", "seed", "eval_every",
+                               "probe_per_domain"), numbers.Integral)
         if self.lr < 0 or self.steps <= 0 or self.batch_per_domain <= 0 or self.eval_every <= 0:
             raise ConfigError("lr must be >= 0 and steps/batch/eval_every positive")
 
 
-class SgdMomentum:
-    def __init__(self, params, lr, weight_decay=0.0, momentum=0.9):
+class FlatStorage:
+    """One contiguous data buffer and one gradient buffer behind a parameter list.
+
+    Each ``p.data`` and ``p.grad`` is rebound to a reshaped view of
+    ``self.data`` and ``self.grad``, so backward accumulates straight into the
+    buffer and an optimizer step is a few whole-buffer operations. The step
+    uses the gradient buffer as its work area: ``p.grad`` is valid only
+    between backward and ``step``.
+    """
+
+    def __init__(self, params):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter was passed to the optimizer twice")
+        self.data = np.concatenate([p.data.ravel() for p in self.params])
+        self.grad = np.zeros_like(self.data)
+        bounds = np.cumsum([p.data.size for p in self.params])[:-1]
+        self._views = []
+        for p, data, grad in zip(self.params, np.split(self.data, bounds),
+                                 np.split(self.grad, bounds)):
+            data, grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self._views.append((data, grad))
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
+
+    def _attach(self):
+        """Copy in any data or gradient a caller rebound since the last step."""
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data:
+                data[...], p.data = p.data, data
+            if p.grad is not grad:
+                if p.grad is None:
+                    raise ValueError(f"parameter of shape {data.shape} has no gradient")
+                grad[...], p.grad = p.grad, grad
+
+
+class SgdMomentum(FlatStorage):
+    def __init__(self, params, lr, weight_decay=0.0, momentum=0.9):
+        super().__init__(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.momentum = momentum
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.velocity = np.zeros_like(self.data)
 
     def step(self):
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            g = p.grad + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data -= self.lr * v
+        self._attach()
+        g, v = self.grad, self.velocity
+        g += np.multiply(self.data, self.weight_decay)      # the step's one temporary
+        v *= self.momentum
+        v += g
+        np.multiply(v, self.lr, out=g)
+        self.data -= g
 
 
-class Adam:
+class Adam(FlatStorage):
     def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+        super().__init__(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self):
+        # The per-tensor update's elementwise ops in the same order, so runs stay bitwise:
+        # g = grad + wd*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # p -= lr*(m/bias1) / (sqrt(v/bias2) + eps).
+        self._attach()
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g, m, v = self.grad, self.m, self.v
+        tmp = np.multiply(self.data, self.weight_decay)      # the step's one temporary
+        g += tmp
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bias1, out=g)
+        g *= self.lr
+        g /= tmp
+        self.data -= g
 
 
 def make_optimizer(params, config: TrainConfig):
@@ -346,29 +404,19 @@ class RunResult:
         return self.selected.step
 
     def selected_target_model(self) -> mm.MlpModel | None:
-        ev = self.selected
-        if ev.target_params is None:
-            return None
-        dims = [self.probe.x.shape[1], *self.config.hidden_dims, _k_from_params(ev.target_params)]
-        model = mm.init_mlp(dims, 0)
-        model.load_param_arrays(ev.target_params)
-        return model
+        arrays = self.selected.target_params
+        return None if arrays is None else _model_from(arrays)
 
     def selected_expert_models(self) -> list[mm.MlpModel] | None:
-        ev = self.selected
-        if ev.expert_params is None:
-            return None
-        out = []
-        for arrays in ev.expert_params:
-            dims = [self.probe.x.shape[1], *self.config.hidden_dims, _k_from_params(arrays)]
-            model = mm.init_mlp(dims, 0)
-            model.load_param_arrays(arrays)
-            out.append(model)
-        return out
+        arrays = self.selected.expert_params
+        return None if arrays is None else [_model_from(a) for a in arrays]
 
 
-def _k_from_params(arrays: list[np.ndarray]) -> int:
-    return arrays[-1].shape[0]
+def _model_from(arrays: list[np.ndarray]) -> mm.MlpModel:
+    """An MLP holding copies of recorded parameter arrays (weight, bias, ...)."""
+    model = mm.init_mlp([arrays[0].shape[0], *(w.shape[1] for w in arrays[::2])], 0)
+    model.load_param_arrays(arrays)
+    return model
 
 
 def make_probe(sources: list[DomainDataset], config: TrainConfig) -> Probe:
@@ -407,10 +455,6 @@ def rescale_factors(z: np.ndarray, q: np.ndarray, q_expert: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # The training loop
-
-
-def entropy_like_ce(q: np.ndarray, y_onehot: np.ndarray) -> np.ndarray:
-    return -(y_onehot * np.log(np.maximum(q, ad.LOG_FLOOR))).sum(axis=1)
 
 
 def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainConfig,
@@ -556,26 +600,19 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     )
 
     if experts is not None:
-        sel_experts = result.selected_expert_models()
-        per_domain = []
-        for i, e in enumerate(sel_experts):
+        result.expert_probe_losses = np.zeros(len(probe.y))
+        for i, e in enumerate(result.selected_expert_models()):
             mask = probe.domain_ids == sources[i].domain_id
-            q = softmax_np(mm.forward_array(e, probe.x[mask]))
-            per_domain.append((np.flatnonzero(mask),
-                               entropy_like_ce(q, one_hot(probe.y[mask], k))))
-        flat = np.zeros(len(probe.y))
-        for idx, vals in per_domain:
-            flat[idx] = vals
-        result.expert_probe_losses = flat
+            q = np.maximum(softmax_np(mm.forward_array(e, probe.x[mask])), ad.LOG_FLOOR)
+            y_1h = one_hot(probe.y[mask], k)
+            result.expert_probe_losses[mask] = -(y_1h * np.log(q)).sum(axis=1)
 
     if held_out is not None:
         sel = result.selected
         if method.kind in AGG_KINDS:
             ex = result.selected_expert_models()
-            w_model = None
-            if sel.weighting_params is not None:
-                w_model = mm.init_mlp([d, *config.hidden_dims, n_src], 0)
-                w_model.load_param_arrays(sel.weighting_params)
+            w_model = (None if sel.weighting_params is None
+                       else _model_from(sel.weighting_params))
             probs = aggregate_predict(method.kind, ex, w_model, held_out.features)
             result.ood_accuracy = float(np.mean(probs.argmax(axis=1) == held_out.labels))
         else:

@@ -20,6 +20,8 @@ from lfme_lab import models as mm
 from lfme_lab import train as tr
 from lfme_lab.domains import SuiteSpec, generate_suite, one_hot
 
+pytestmark = pytest.mark.acceptance
+
 N_SEEDS = 10
 ALPHAS = (0.01, 1.0, 10.0)
 

@@ -117,6 +117,21 @@ class TestTrain:
         cfg, _ = write_config(tmp_path, train={"steps": 10, "bogus": 1})
         assert cli.main(["train", "-c", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("override, key", [
+        ("held_out=3", "config.held_out"),
+        ("seeds=2", "config.seeds"),
+        ("seeds.x=1", "seeds.x"),
+        ("train.lr=nan", "lr"),
+        ("train.lr=NaN", "lr"),
+        ("train.steps=\"10\"", "steps"),
+        ("methods.0=1", "methods.0"),
+    ])
+    def test_malformed_override_exit_code(self, tmp_path, capsys, override, key):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_checkpoint_round_trip_on_probe(self, tmp_path):
         cfg, config = write_config(tmp_path)
         cli.main(["train", "-c", str(cfg)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,152 @@ class TestOptimizers:
         p.grad = np.array([0.0])
         opt.step()
         assert abs(p.data[0] - 1.0) < 1e-15
+
+
+class RefSgdMomentum:
+    """Per-tensor SGD with momentum: the formulas the flat optimizer must match bitwise."""
+
+    def __init__(self, params, lr, weight_decay=0.0, momentum=0.9):
+        self.params, self.lr, self.weight_decay, self.momentum = params, lr, weight_decay, momentum
+        self.velocity = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        for p, v in zip(self.params, self.velocity):
+            g = p.grad + self.weight_decay * p.data
+            v *= self.momentum
+            v += g
+            p.data -= self.lr * v
+
+
+class RefAdam:
+    """Per-tensor Adam: the formulas the flat optimizer must match bitwise."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def step(self):
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad + self.weight_decay * p.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def joint_models():
+    return [mm.init_mlp([5, 7, 3], seed=60), mm.init_mlp([5, 4, 6, 3], seed=61)]
+
+
+def joint_backward(models, step):
+    rng = np.random.default_rng([62, step])
+    x = ad.tensor(rng.normal(size=(9, 5)))
+    y = one_hot(rng.integers(3, size=9), 3)
+    loss = None
+    for model in models:
+        term = ad.cross_entropy(ad.softmax(mm.forward(model, x)), y)
+        loss = term if loss is None else ad.add(loss, term)
+    ad.backward(loss)
+
+
+class TestFlatOptimizers:
+    @pytest.mark.parametrize("flat_cls, ref_cls, kw", [
+        (tr.Adam, RefAdam, dict(lr=0.05, weight_decay=1e-2)),
+        (tr.SgdMomentum, RefSgdMomentum, dict(lr=0.05, weight_decay=1e-2, momentum=0.9)),
+    ])
+    def test_bitwise_equal_to_per_tensor_reference(self, flat_cls, ref_cls, kw):
+        flat_models, ref_models = joint_models(), joint_models()
+        flat_params = [p for m in flat_models for p in m.parameters()]
+        ref_params = [p for m in ref_models for p in m.parameters()]
+        assert len({p.data.shape for p in flat_params}) >= 5
+        opt, ref = flat_cls(flat_params, **kw), ref_cls(ref_params, **kw)
+        for step in range(25):
+            opt.zero_grad()
+            for p in ref_params:
+                p.grad = None
+            joint_backward(flat_models, step)
+            joint_backward(ref_models, step)
+            assert all(np.shares_memory(p.grad, opt.grad) for p in flat_params)
+            opt.step()
+            ref.step()
+            for a, b in zip(flat_params, ref_params):
+                assert np.array_equal(a.data, b.data)
+        assert not np.array_equal(flat_params[0].data, joint_models()[0].weights[0].data)
+
+    def test_parameters_become_views_of_one_buffer(self):
+        params = [p for m in joint_models() for p in m.parameters()]
+        before = [p.data.copy() for p in params]
+        opt = tr.Adam(params, lr=0.1)
+        assert opt.data.size == sum(a.size for a in before)
+        for p, a in zip(params, before):
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+            assert np.array_equal(p.data, a) and not p.grad.any()
+
+    def test_grad_present_at_construction_is_kept(self):
+        p = ad.parameter(np.array([1.0, 2.0]))
+        p.grad = np.array([0.5, -1.0])
+        opt = tr.SgdMomentum([p], lr=1.0, momentum=0.0)
+        assert np.array_equal(p.grad, [0.5, -1.0])
+        opt.step()
+        assert np.array_equal(p.data, [0.5, 3.0])
+
+    def test_assigned_grad_and_data_are_copied_in(self):
+        p = ad.parameter(np.zeros(3))
+        opt = tr.SgdMomentum([p], lr=1.0, momentum=0.0)
+        p.data = np.array([1.0, 1.0, 1.0])
+        p.grad = np.array([1.0, 2.0, 3.0])
+        opt.step()
+        assert np.array_equal(p.data, [0.0, -1.0, -2.0])
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+
+    def test_missing_grad_rejected(self):
+        for cls in (tr.SgdMomentum, tr.Adam):
+            p = ad.parameter(np.ones(2))
+            opt = cls([p], lr=0.1)
+            p.grad = None
+            with pytest.raises(ValueError, match="no gradient"):
+                opt.step()
+            assert np.array_equal(p.data, [1.0, 1.0])
+
+    def test_duplicate_parameter_rejected(self):
+        p = ad.parameter(np.ones(2))
+        for cls in (tr.SgdMomentum, tr.Adam):
+            with pytest.raises(ValueError, match="twice"):
+                cls([p, ad.parameter(np.ones(1)), p], lr=0.1)
+
+    def test_loaded_arrays_stay_attached(self):
+        model = mm.init_mlp([3, 4, 2], seed=63)
+        opt = tr.Adam(model.parameters(), lr=0.1)
+        loaded = [np.full(p.data.shape, 0.25) for p in model.parameters()]
+        model.load_param_arrays(loaded)
+        for p, a in zip(model.parameters(), loaded):
+            assert np.shares_memory(p.data, opt.data) and np.array_equal(p.data, a)
+        for p in model.parameters():
+            p.grad[...] = 1.0
+        opt.step()
+        for p, a in zip(model.parameters(), loaded):
+            assert np.allclose(p.data, a - 0.1)
+
+    @pytest.mark.parametrize("cls", [tr.SgdMomentum, tr.Adam])
+    def test_step_allocates_at_most_one_parameter_sized_buffer(self, cls):
+        params = [ad.parameter(np.ones((100, 50))), ad.parameter(np.ones(50))]
+        opt = cls(params, lr=0.1, weight_decay=0.01)
+        for _ in range(2):
+            for p in params:
+                p.grad[...] = 1.0
+            tracemalloc.start()
+            try:
+                opt.step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < opt.data.nbytes + 1024
 
 
 class TestAggregation:

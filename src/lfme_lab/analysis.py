@@ -12,35 +12,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import train as tr
 from .domains import DomainDataset
-from .train import MethodSpec, RunResult, TrainConfig, ConfigError, run_method
 
 
 class AnalysisError(Exception):
     """Undefined or degenerate analysis input."""
 
 
-def rescale_gt(q_star: float, qE_star: float, z_star: float, alpha: float) -> float:
-    """Gradient ratio at the ground-truth logit: 1 - a*(z* - qE*)/(1 - q*)."""
-    if q_star >= 1.0 - 1e-9:
+def _require_unsaturated(q_star):
+    if np.any(np.asarray(q_star) >= 1.0 - 1e-9):
         raise AnalysisError(f"rescale factor undefined at q_star={q_star}")
+
+
+def rescale_gt(q_star, qE_star, z_star, alpha):
+    """Gradient ratio at the ground-truth logit, 1 - a*(z* - qE*)/(1 - q*), elementwise."""
+    _require_unsaturated(q_star)
     return 1.0 - alpha * (z_star - qE_star) / (1.0 - q_star)
 
 
-def rescale_nongt(q_star: float, qE_star: float, sum_z_nongt: float, alpha: float) -> float:
-    """Gradient ratio over non-ground-truth logits."""
-    if q_star >= 1.0 - 1e-9:
-        raise AnalysisError(f"rescale factor undefined at q_star={q_star}")
+def rescale_nongt(q_star, qE_star, sum_z_nongt, alpha):
+    """Gradient ratio over non-ground-truth logits, elementwise."""
+    _require_unsaturated(q_star)
     return 1.0 - alpha * (1.0 - sum_z_nongt - qE_star) / (1.0 - q_star)
+
+
+def entropy_rows(q: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats along the last axis (0 log 0 = 0)."""
+    q = np.asarray(q, dtype=np.float64)
+    return -np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0).sum(axis=-1)
 
 
 def entropy(q: np.ndarray) -> float:
     """Shannon entropy in nats of one probability row, or the mean over rows."""
-    q = np.asarray(q, dtype=np.float64)
-    terms = np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0)
-    if q.ndim == 1:
-        return float(-terms.sum())
-    return float(-terms.sum(axis=-1).mean())
+    rows = entropy_rows(q)
+    return float(rows if rows.ndim == 0 else rows.mean())
 
 
 def classification_ratio(p: np.ndarray, star: int) -> float:
@@ -98,7 +104,7 @@ class EvalReport:
     ratio_easy_trace: list = field(default_factory=list)
 
 
-def report_from_run(run: RunResult, hard_reference: RunResult | None = None) -> EvalReport:
+def report_from_run(run: tr.RunResult, hard_reference: tr.RunResult | None = None) -> EvalReport:
     """Condense a run into the per-held-out-domain report row.
 
     ``hard_reference`` supplies the expert losses that define hard and easy
@@ -133,26 +139,26 @@ def report_from_run(run: RunResult, hard_reference: RunResult | None = None) -> 
     )
 
 
-def evaluate_leave_one_out(suite: list[DomainDataset], config: TrainConfig,
-                           methods: list[MethodSpec]) -> dict[int, dict[str, EvalReport]]:
+def evaluate_leave_one_out(suite: list[DomainDataset], config: tr.TrainConfig,
+                           methods: list[tr.MethodSpec]) -> dict[int, dict[str, EvalReport]]:
     """Each domain takes a turn as the unseen target for every method."""
     out: dict[int, dict[str, EvalReport]] = {}
     for held in suite:
         sources = [ds for ds in suite if ds.domain_id != held.domain_id]
         if len(sources) < 2:
-            raise ConfigError("fewer than 2 source domains remain after holding one out")
+            raise tr.ConfigError("fewer than 2 source domains remain after holding one out")
         out[held.domain_id] = {}
         for method in methods:
-            run = run_method(sources, method, config, held_out=held)
+            run = tr.run_method(sources, method, config, held_out=held)
             out[held.domain_id][method.name] = report_from_run(run)
     return out
 
 
-def sweep_alpha(suite: list[DomainDataset], config: TrainConfig, grid) -> list[dict]:
+def sweep_alpha(suite: list[DomainDataset], config: tr.TrainConfig, grid) -> list[dict]:
     """One leave-one-out evaluation of the guided method per grid value."""
     rows = []
     for alpha_half in grid:
-        method = MethodSpec(kind="lfme", alpha_half=float(alpha_half))
+        method = tr.MethodSpec(kind=tr.LFME, alpha_half=float(alpha_half))
         reports = evaluate_leave_one_out(suite, config, [method])
         accs = [reports[h][method.name].ood_accuracy for h in sorted(reports)]
         row = {"alpha_half": float(alpha_half), "mean_ood_accuracy": float(np.mean(accs))}

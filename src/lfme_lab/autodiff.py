@@ -159,20 +159,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes differ: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data * b.data
-
-    def backward(out):
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(out.grad * a.data)
-
-    return _result(out_data, (a, b), backward)
-
-
 def scale(t: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = t.data * c
@@ -180,20 +166,6 @@ def scale(t: Tensor, c: float) -> Tensor:
     def backward(out):
         if t.requires_grad:
             t.accumulate_grad(out.grad * c)
-
-    return _result(out_data, (t,), backward)
-
-
-def mul_const(t: Tensor, const) -> Tensor:
-    """Elementwise product with a constant array (no gradient into the array)."""
-    const = np.asarray(const, dtype=np.float64)
-    if const.shape != t.data.shape:
-        raise ShapeError(f"mul_const shapes differ: {t.data.shape} vs {const.shape}")
-    out_data = t.data * const
-
-    def backward(out):
-        if t.requires_grad:
-            t.accumulate_grad(out.grad * const)
 
     return _result(out_data, (t,), backward)
 
@@ -218,15 +190,19 @@ def sum_all(t: Tensor) -> Tensor:
     return _result(out_data, (t,), backward)
 
 
+def softmax_np(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a plain array, with max subtraction."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(z: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rows of the result sum to 1."""
     if not np.all(np.isfinite(z.data)):
         raise NumericError("softmax input contains non-finite values")
     if z.data.shape[-1] < 2:
         raise ShapeError(f"softmax needs at least 2 classes, got shape {z.data.shape}")
-    shifted = z.data - z.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    q = e / e.sum(axis=-1, keepdims=True)
+    q = softmax_np(z.data)
 
     def backward(out):
         if z.requires_grad:

@@ -24,8 +24,7 @@ import numpy as np
 from . import models as mm
 from .analysis import report_from_run
 from .domains import DataError, SuiteSpec, generate_suite, load_csv_suite
-from .train import (AGG_KINDS, ConfigError, MethodSpec, TrainConfig,
-                    run_method, softmax_np)
+from .train import ConfigError, MethodSpec, TrainConfig, run_method, softmax_np
 
 DEFAULT_ALPHA_GRID = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]
 
@@ -147,10 +146,9 @@ def build_suite(config: dict, seed: int | None = None):
     return generate_suite(spec)
 
 
-def build_method(cfg: dict, train_cfg: TrainConfig) -> MethodSpec:
-    kwargs = dict(cfg)
+def build_method(cfg: dict) -> MethodSpec:
     try:
-        method = MethodSpec(**kwargs)
+        method = MethodSpec(**cfg)
         method.validate()
     except (TypeError, ConfigError) as e:
         raise CliError(f"config.methods: {e}") from None
@@ -160,7 +158,7 @@ def build_method(cfg: dict, train_cfg: TrainConfig) -> MethodSpec:
 def build_train_config(config: dict, seed: int) -> TrainConfig:
     kwargs = dict(config["train"])
     kwargs["seed"] = seed
-    if "hidden_dims" in kwargs:
+    if isinstance(kwargs.get("hidden_dims"), list):
         kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
     try:
         tc = TrainConfig(**kwargs)
@@ -222,7 +220,7 @@ def run_dir(output: Path, method_name: str, seed: int, held_out: int) -> Path:
 def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
     suite = build_suite(config, seed=seed)
     train_cfg = build_train_config(config, seed)
-    method = build_method(method_cfg, train_cfg)
+    method = build_method(method_cfg)
     byid = {ds.domain_id: ds for ds in suite}
     held_ds = byid[held]
     sources = [ds for ds in suite if ds.domain_id != held]
@@ -277,10 +275,11 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
         for i, e in enumerate(run.selected_expert_models()):
             mm.save_checkpoint(e, out / f"expert{i}.ckpt", role="expert", index=i,
                                step=run.selected_step, seed=seed)
-    with open(out / "run.json", "w") as f:
-        json.dump({"method": asdict(method), "seed": seed, "held_out": held,
-                   "sources": run.source_ids, "selected_step": run.selected_step,
-                   "ood_accuracy": run.ood_accuracy}, f, indent=2)
+    # Written last, atomically: a run directory holding run.json is complete.
+    info = {"method": asdict(method), "seed": seed, "held_out": held,
+            "sources": run.source_ids, "selected_step": run.selected_step,
+            "ood_accuracy": run.ood_accuracy}
+    _atomic_write(out / "run.json", lambda f: json.dump(info, f, indent=2))
     return out
 
 
@@ -312,10 +311,13 @@ def cmd_train(args) -> int:
     config = load_config(args)
     suite = build_suite(config, seed=config["seeds"][0])
     helds = held_out_ids(config, suite)
-    out = Path(config["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as f:
-        json.dump(config, f, indent=2)
+    # Reject a bad train or methods value before anything is written.
+    for seed in config["seeds"]:
+        build_train_config(config, seed)
+    for m in config["methods"]:
+        build_method(m)
+    _atomic_write(Path(config["output"]) / "config.json",
+                  lambda f: json.dump(config, f, indent=2))
 
     jobs = [(config, m, seed, h)
             for m in config["methods"] for seed in config["seeds"] for h in helds]

@@ -10,6 +10,7 @@ strength, so they help in-domain and mislead on the extra domain.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,15 @@ class DataError(Exception):
     """Invalid suite specification or unreadable external data."""
 
 
+def require_finite(obj, names, kind=numbers.Real, error=DataError):
+    """Raise ``error`` naming the first field of ``obj`` that is not a finite ``kind``."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
+            noun = "an integer" if kind is numbers.Integral else "a finite number"
+            raise error(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SuiteSpec:
     n_domains: int = 3          # M source domains; generation adds one held-out style
@@ -37,6 +47,9 @@ class SuiteSpec:
     seed: int = 0
 
     def validate(self):
+        require_finite(self, ("n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
+                              "seed"), numbers.Integral)
+        require_finite(self, ("spurious_strength", "noise"))
         if self.n_domains < 2:
             raise DataError("need at least 2 source domains")
         if self.n_classes < 2:

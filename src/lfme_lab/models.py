@@ -68,6 +68,13 @@ def init_mlp(layer_dims, seed) -> MlpModel:
     return MlpModel(layer_dims, weights, biases)
 
 
+def model_from_arrays(arrays) -> MlpModel:
+    """An MLP holding copies of parameter arrays (weight, bias, ...); dims read off them."""
+    model = init_mlp([arrays[0].shape[0], *(w.shape[1] for w in arrays[::2])], 0)
+    model.load_param_arrays(arrays)
+    return model
+
+
 def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
     """Logits for a batch of feature rows; ReLU hidden, identity output."""
     if x.data.ndim != 2 or x.data.shape[1] != model.layer_dims[0]:
@@ -99,9 +106,7 @@ class Checkpoint:
     arrays: list[np.ndarray] = field(repr=False)
 
     def to_model(self) -> MlpModel:
-        model = init_mlp(self.layer_dims, 0)
-        model.load_param_arrays(self.arrays)
-        return model
+        return model_from_arrays(self.arrays)
 
 
 def save_checkpoint(model: MlpModel, path, *, role="target", index=0, step=0, seed=0):

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import analysis as an
 from . import autodiff as ad
 from . import models as mm
-from .domains import DomainDataset, make_batches, one_hot
+from .autodiff import softmax_np
+from .domains import DomainDataset, make_batches, one_hot, require_finite
 
 ERM = "erm"
 LFME = "lfme"
@@ -43,20 +45,10 @@ EXPERT_KINDS = frozenset({LFME, KD_ZZ, KD_QZ, KD_QQ, KD_CE, ERMP_W_EXPT,
 AGG_KINDS = frozenset({AGG_AVG, AGG_MS, AGG_CONF, AGG_DYN})
 
 DEFAULT_HIDDEN = (64, 64)
-ALPHA_HALF_GRID = (0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
 
 class ConfigError(Exception):
     """Invalid method or training configuration."""
-
-
-def _require_finite(obj, names, kind=numbers.Real):
-    """Raise ConfigError naming the first field that is not a finite ``kind``."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
-            noun = "an integer" if kind is numbers.Integral else "a finite number"
-            raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,9 @@ class MethodSpec:
     def validate(self):
         if self.kind not in METHOD_KINDS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
-        _require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"))
+        require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"), error=ConfigError)
+        if self.ramp_steps is not None:
+            require_finite(self, ("ramp_steps",), numbers.Integral, ConfigError)
         if self.alpha_half < 0:
             raise ConfigError(f"alpha_half must be >= 0, got {self.alpha_half}")
         if not 0.0 <= self.ls_epsilon < 1.0:
@@ -96,11 +90,15 @@ class TrainConfig:
     def validate(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        _require_finite(self, ("lr", "weight_decay"))
-        _require_finite(self, ("steps", "batch_per_domain", "seed", "eval_every",
-                               "probe_per_domain"), numbers.Integral)
+        require_finite(self, ("lr", "weight_decay"), error=ConfigError)
+        require_finite(self, ("steps", "batch_per_domain", "seed", "eval_every",
+                              "probe_per_domain"), numbers.Integral, ConfigError)
         if self.lr < 0 or self.steps <= 0 or self.batch_per_domain <= 0 or self.eval_every <= 0:
             raise ConfigError("lr must be >= 0 and steps/batch/eval_every positive")
+        if not isinstance(self.hidden_dims, (tuple, list)) or not all(
+                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
+                for d in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
 
 
 class FlatStorage:
@@ -214,32 +212,61 @@ def loss_expert(z: ad.Tensor, y_onehot) -> ad.Tensor:
     return ad.cross_entropy(ad.softmax(z), y_onehot)
 
 
+# Guided kinds: target loss = cross_entropy(q, y) + alpha_half * mse(a, b); a is the
+# target's logits "z" or probabilities "q", b a detached guide: "q" itself or a key of
+# ``target_loss``'s ``guides``. ermp_w_* take this form at hard_weight_beta = 0.
+GUIDANCE_PAIRS = {
+    LFME: ("z", "q_expert"),
+    ERM_PLUS: ("z", "y"),
+    KD_ZZ: ("z", "z_expert"),
+    KD_QZ: ("q", "z_expert"),
+    KD_QQ: ("q", "q_expert"),
+    SELF_GUID: ("z", "q"),
+    LFME_GUID: ("q", "q_teacher"),
+    ERMP_W_EXPT: ("z", "y"),
+    ERMP_W_SELF: ("z", "y"),
+}
+
+
+def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict) -> ad.Tensor:
+    """The target model's loss on logits ``z``; one softmax of ``z`` feeds every term.
+
+    ``guides`` holds constants: ``y`` (one-hot labels) and, where the kind uses them,
+    ``q_expert``, ``z_expert``, ``q_teacher``, ``expert_losses`` and ``kd_ce_weight``.
+    """
+    kind, alpha_half, y = method.kind, method.alpha_half, guides["y"]
+    q = ad.softmax(z)
+    if kind == LS and method.ls_epsilon != 0.0:
+        smoothed = (1.0 - method.ls_epsilon) * y + method.ls_epsilon / y.shape[-1]
+        return ad.soft_cross_entropy(q, smoothed)
+    if kind == KD_CE:
+        weight = guides["kd_ce_weight"]
+        cla = ad.scale(ad.cross_entropy(q, y), 1.0 - weight)
+        if weight == 0.0:
+            return cla
+        return ad.add(cla, ad.scale(ad.soft_cross_entropy(q, guides["q_expert"]), weight))
+    if kind in (ERMP_W_EXPT, ERMP_W_SELF) and method.hard_weight_beta != 0.0:
+        v = ad.cross_entropy_rows(q, y)
+        if alpha_half != 0.0:
+            v = ad.add(v, ad.scale(ad.sq_norm_rows(z, y), alpha_half))
+        ref = guides["expert_losses"] if kind == ERMP_W_EXPT else v.data
+        return ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
+    cla = ad.cross_entropy(q, y)
+    pair = GUIDANCE_PAIRS.get(kind)
+    if pair is None or alpha_half == 0.0:
+        return cla
+    a, b = pair
+    guide = ad.detach(q) if b == "q" else ad.tensor(guides[b])
+    return ad.add(cla, ad.scale(ad.mse(z if a == "z" else q, guide), alpha_half))
+
+
 def loss_lfme(z: ad.Tensor, y_onehot, q_expert, alpha_half: float) -> ad.Tensor:
     """Classification loss plus logit regression toward expert probabilities."""
     q_expert = q_expert.data if isinstance(q_expert, ad.Tensor) else np.asarray(q_expert)
     if q_expert.shape != z.data.shape:
         raise ad.ShapeError(f"expert rows {q_expert.shape} misaligned with logits {z.data.shape}")
-    cla = ad.cross_entropy(ad.softmax(z), y_onehot)
-    if alpha_half == 0.0:
-        return cla
-    return ad.add(cla, ad.scale(ad.mse(z, ad.tensor(q_expert)), alpha_half))
-
-
-def loss_erm_plus(z: ad.Tensor, y_onehot, alpha_half: float) -> ad.Tensor:
-    cla = ad.cross_entropy(ad.softmax(z), y_onehot)
-    if alpha_half == 0.0:
-        return cla
-    return ad.add(cla, ad.scale(ad.mse(z, ad.tensor(np.asarray(y_onehot, dtype=np.float64))),
-                                alpha_half))
-
-
-def loss_ls(z: ad.Tensor, y_onehot, epsilon: float) -> ad.Tensor:
-    y_onehot = np.asarray(y_onehot, dtype=np.float64)
-    if epsilon == 0.0:
-        return ad.cross_entropy(ad.softmax(z), y_onehot)
-    k = y_onehot.shape[-1]
-    smoothed = (1.0 - epsilon) * y_onehot + epsilon / k
-    return ad.soft_cross_entropy(ad.softmax(z), smoothed)
+    return target_loss(MethodSpec(LFME, alpha_half=alpha_half), z,
+                       {"y": y_onehot, "q_expert": q_expert})
 
 
 def kd_weight(alpha_half: float, step: int, ramp_steps: int | None) -> float:
@@ -247,42 +274,6 @@ def kd_weight(alpha_half: float, step: int, ramp_steps: int | None) -> float:
     if ramp_steps is None or ramp_steps <= 0:
         return alpha_half
     return alpha_half * min(1.0, step / ramp_steps)
-
-
-def loss_kd_variant(kind: str, z: ad.Tensor, y_onehot, z_expert, q_expert,
-                    weight_t: float) -> ad.Tensor:
-    z_expert = np.asarray(z_expert, dtype=np.float64)
-    q_expert = np.asarray(q_expert, dtype=np.float64)
-    q = ad.softmax(z)
-    if kind == KD_CE:
-        cla = ad.scale(ad.cross_entropy(q, y_onehot), 1.0 - weight_t)
-        if weight_t == 0.0:
-            return cla
-        return ad.add(cla, ad.scale(ad.soft_cross_entropy(q, q_expert), weight_t))
-    cla = ad.cross_entropy(q, y_onehot)
-    if weight_t == 0.0:
-        return cla
-    if kind == KD_ZZ:
-        guid = ad.mse(z, ad.tensor(z_expert))
-    elif kind == KD_QZ:
-        guid = ad.mse(q, ad.tensor(z_expert))
-    elif kind == KD_QQ:
-        guid = ad.mse(q, ad.tensor(q_expert))
-    else:
-        raise ConfigError(f"not a KD kind: {kind!r}")
-    return ad.add(cla, ad.scale(guid, weight_t))
-
-
-def loss_self_guid(z: ad.Tensor) -> ad.Tensor:
-    """Guidance toward the model's own detached probabilities."""
-    q_const = ad.detach(ad.softmax(z))
-    return ad.mse(z, q_const)
-
-
-def loss_lfme_guid(q_new: ad.Tensor, q_teacher) -> ad.Tensor:
-    """Guidance toward probabilities of a frozen, previously trained model."""
-    q_teacher = q_teacher.data if isinstance(q_teacher, ad.Tensor) else np.asarray(q_teacher)
-    return ad.mse(q_new, ad.tensor(q_teacher))
 
 
 def hard_weights(expert_losses: np.ndarray, beta: float) -> np.ndarray:
@@ -296,17 +287,6 @@ def hard_weights(expert_losses: np.ndarray, beta: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Evaluation helpers
-
-
-def softmax_np(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def entropy_rows(q: np.ndarray) -> np.ndarray:
-    terms = np.where(q > 0.0, q * np.log(np.maximum(q, 1e-300)), 0.0)
-    return -terms.sum(axis=-1)
 
 
 def predict(model: mm.MlpModel, x: np.ndarray) -> np.ndarray:
@@ -324,11 +304,8 @@ def average_parameters(experts: list[mm.MlpModel]) -> mm.MlpModel:
     for e in experts[1:]:
         if e.layer_dims != dims:
             raise ConfigError(f"architecture mismatch for parameter soup: {e.layer_dims} vs {dims}")
-    soup = mm.init_mlp(dims, 0)
-    stacks = [np.mean([e.param_arrays()[i] for e in experts], axis=0)
-              for i in range(len(soup.parameters()))]
-    soup.load_param_arrays(stacks)
-    return soup
+    return mm.model_from_arrays([np.mean(arrays, axis=0)
+                                 for arrays in zip(*(e.param_arrays() for e in experts))])
 
 
 def aggregate_predict(kind: str, experts: list[mm.MlpModel],
@@ -340,7 +317,7 @@ def aggregate_predict(kind: str, experts: list[mm.MlpModel],
     if kind == AGG_AVG:
         return probs.mean(axis=0)
     if kind == AGG_CONF:
-        ent = np.stack([entropy_rows(p) for p in probs])           # M x B
+        ent = an.entropy_rows(probs)                               # M x B
         pick = ent.argmin(axis=0)                                  # ties -> lowest id
         return probs[pick, np.arange(x.shape[0])]
     if kind == AGG_DYN:
@@ -405,18 +382,11 @@ class RunResult:
 
     def selected_target_model(self) -> mm.MlpModel | None:
         arrays = self.selected.target_params
-        return None if arrays is None else _model_from(arrays)
+        return None if arrays is None else mm.model_from_arrays(arrays)
 
     def selected_expert_models(self) -> list[mm.MlpModel] | None:
         arrays = self.selected.expert_params
-        return None if arrays is None else [_model_from(a) for a in arrays]
-
-
-def _model_from(arrays: list[np.ndarray]) -> mm.MlpModel:
-    """An MLP holding copies of recorded parameter arrays (weight, bias, ...)."""
-    model = mm.init_mlp([arrays[0].shape[0], *(w.shape[1] for w in arrays[::2])], 0)
-    model.load_param_arrays(arrays)
-    return model
+        return None if arrays is None else [mm.model_from_arrays(a) for a in arrays]
 
 
 def make_probe(sources: list[DomainDataset], config: TrainConfig) -> Probe:
@@ -446,10 +416,9 @@ def rescale_factors(z: np.ndarray, q: np.ndarray, q_expert: np.ndarray,
         return float("nan"), float("nan")
     z_star = z[b, y][mask]
     qe_star = q_expert[b, y][mask]
-    qs = q_star[mask]
     sum_nongt = z.sum(axis=1)[mask] - z_star
-    f = 1.0 - alpha * (z_star - qe_star) / (1.0 - qs)
-    fp = 1.0 - alpha * (1.0 - sum_nongt - qe_star) / (1.0 - qs)
+    f = an.rescale_gt(q_star[mask], qe_star, z_star, alpha)
+    fp = an.rescale_nongt(q_star[mask], qe_star, sum_nongt, alpha)
     return float(f.mean()), float(fp.mean())
 
 
@@ -500,7 +469,6 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 
     probe = make_probe(sources, config)
     ramp = method.ramp_steps if method.ramp_steps is not None else config.steps // 2
-    use_weighted = method.kind in (ERMP_W_EXPT, ERMP_W_SELF) and method.hard_weight_beta != 0.0
 
     pooled_val_x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
 
@@ -539,38 +507,12 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
         target_loss_val = float("nan")
         if target is not None:
             z = mm.forward(target, ad.tensor(batch.x_all))
-            kind = method.kind
-            if kind == ERM:
-                t_loss = ad.cross_entropy(ad.softmax(z), y_all_1h)
-            elif kind == LFME:
-                t_loss = loss_lfme(z, y_all_1h, q_expert_rows, method.alpha_half)
-            elif kind == ERM_PLUS or (kind in (ERMP_W_EXPT, ERMP_W_SELF) and not use_weighted):
-                t_loss = loss_erm_plus(z, y_all_1h, method.alpha_half)
-            elif kind == LS:
-                t_loss = loss_ls(z, y_all_1h, method.ls_epsilon)
-            elif kind in (KD_ZZ, KD_QZ, KD_QQ, KD_CE):
-                wt = kd_weight(method.alpha_half, step, ramp if kind == KD_CE else None)
-                t_loss = loss_kd_variant(kind, z, y_all_1h, z_expert_rows, q_expert_rows, wt)
-            elif kind == SELF_GUID:
-                cla = ad.cross_entropy(ad.softmax(z), y_all_1h)
-                t_loss = (cla if method.alpha_half == 0.0
-                          else ad.add(cla, ad.scale(loss_self_guid(z), method.alpha_half)))
-            elif kind == LFME_GUID:
-                q = ad.softmax(z)
-                cla = ad.cross_entropy(q, y_all_1h)
-                q_teach = softmax_np(mm.forward_array(teacher, batch.x_all))
-                t_loss = (cla if method.alpha_half == 0.0
-                          else ad.add(cla, ad.scale(loss_lfme_guid(q, q_teach),
-                                                    method.alpha_half)))
-            elif kind in (ERMP_W_EXPT, ERMP_W_SELF):
-                q = ad.softmax(z)
-                v = ad.cross_entropy_rows(q, y_all_1h)
-                if method.alpha_half != 0.0:
-                    v = ad.add(v, ad.scale(ad.sq_norm_rows(z, y_all_1h), method.alpha_half))
-                ref = expert_sample_losses if kind == ERMP_W_EXPT else v.data
-                t_loss = ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
-            else:
-                raise ConfigError(f"unhandled method kind {kind!r}")
+            guides = {"y": y_all_1h, "q_expert": q_expert_rows, "z_expert": z_expert_rows,
+                      "expert_losses": expert_sample_losses,
+                      "kd_ce_weight": kd_weight(method.alpha_half, step, ramp)}
+            if teacher is not None:
+                guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
+            t_loss = target_loss(method, z, guides)
             terms.append(t_loss)
             target_loss_val = t_loss.item()
 
@@ -612,7 +554,7 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
         if method.kind in AGG_KINDS:
             ex = result.selected_expert_models()
             w_model = (None if sel.weighting_params is None
-                       else _model_from(sel.weighting_params))
+                       else mm.model_from_arrays(sel.weighting_params))
             probs = aggregate_predict(method.kind, ex, w_model, held_out.features)
             result.ood_accuracy = float(np.mean(probs.argmax(axis=1) == held_out.labels))
         else:
@@ -643,7 +585,7 @@ def _evaluate(step, sources, method, config, target, experts, weighting, probe,
             val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
         probe_logits = mm.forward_array(target, probe.x)
         probe_probs = softmax_np(probe_logits)
-        val_entropy = float(entropy_rows(softmax_np(mm.forward_array(target, pooled_val_x))).mean())
+        val_entropy = an.entropy(softmax_np(mm.forward_array(target, pooled_val_x)))
 
     rescale_f = rescale_fp = None
     if experts is not None:

@@ -207,9 +207,8 @@ class TestFiniteDifferences:
             m, k, n = rng.integers(1, 8, size=3)
             a = rng.uniform(-2, 2, (m, k))
             b = rng.uniform(-2, 2, (k, n))
-            check_grad(lambda ta, tb: ad.sum_all(ad.mul(ad.matmul(ta, tb),
-                                                        ad.tensor(np.ones((m, n))))),
-                       [a, b])
+            c = rng.uniform(-2, 2, (m, n))
+            check_grad(lambda ta, tb: ad.mse(ad.matmul(ta, tb), ad.tensor(c)), [a, b])
 
     def test_softmax(self):
         rng = np.random.default_rng(2)
@@ -217,7 +216,8 @@ class TestFiniteDifferences:
             b, k = rng.integers(1, 8), rng.integers(2, 8)
             z = rng.uniform(-2, 2, (b, k))
             coeff = rng.uniform(-1, 1, (b, k))
-            check_grad(lambda t: ad.sum_all(ad.mul_const(ad.softmax(t), coeff)), [z])
+            # mse against a constant: a non-uniform upstream gradient 2(q - coeff)/b
+            check_grad(lambda t: ad.mse(ad.softmax(t), ad.tensor(coeff)), [z])
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(3)

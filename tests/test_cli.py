@@ -125,12 +125,34 @@ class TestTrain:
         ("train.lr=NaN", "lr"),
         ("train.steps=\"10\"", "steps"),
         ("methods.0=1", "methods.0"),
+        ("train.hidden_dims=[0]", "hidden_dims"),
+        ("train.hidden_dims=5", "hidden_dims"),
+        ("train.hidden_dims=[2.5]", "hidden_dims"),
+        ("suite.n_classes=\"3\"", "n_classes"),
+        ("methods=[{\"kind\": \"kd_ce\", \"ramp_steps\": \"x\"}]", "ramp_steps"),
     ])
     def test_malformed_override_exit_code(self, tmp_path, capsys, override, key):
         cfg, _ = write_config(tmp_path)
         assert cli.main(["train", "-c", str(cfg), "--set", override]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_json_write_leaves_no_run_json(self, tmp_path, monkeypatch):
+        _, config = write_config(tmp_path)
+        dump = json.dump
+
+        def dump_then_fail(obj, f, **kw):
+            if "selected_step" not in obj:
+                return dump(obj, f, **kw)
+            f.write('{"method": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli.execute_job(config, {"kind": "erm"}, 0, 2)
+        rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
+        assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
 
     def test_checkpoint_round_trip_on_probe(self, tmp_path):
         cfg, config = write_config(tmp_path)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lfme_lab import analysis as an
 from lfme_lab import autodiff as ad
 from lfme_lab import models as mm
 from lfme_lab import train as tr
@@ -20,6 +21,13 @@ def quick_config(**kw):
     base = dict(steps=120, eval_every=40, batch_per_domain=16, seed=3)
     base.update(kw)
     return tr.TrainConfig(**base)
+
+
+def guided_loss(kind, z, y, alpha_half=1.0, ls_epsilon=0.1, hard_weight_beta=1.0, **guides):
+    """``train.target_loss`` for one kind, with ``y`` and the given guide arrays."""
+    method = tr.MethodSpec(kind, alpha_half=alpha_half, ls_epsilon=ls_epsilon,
+                           hard_weight_beta=hard_weight_beta)
+    return tr.target_loss(method, z, {"y": y, **guides})
 
 
 class TestLosses:
@@ -72,25 +80,26 @@ class TestLosses:
     def test_erm_plus_hand_value(self):
         z = ad.tensor([[0.0, 0.0]])
         y = one_hot(np.array([0]), 2)
-        assert abs(tr.loss_erm_plus(z, y, 1.0).item() - (np.log(2) + 1.0)) < 1e-12
+        assert abs(guided_loss(tr.ERM_PLUS, z, y, alpha_half=1.0).item()
+                   - (np.log(2) + 1.0)) < 1e-12
 
     def test_erm_plus_reductions(self):
         y = one_hot(np.array([0]), 2)
         z = ad.tensor([[1.0, 0.0]])
         cla = ad.cross_entropy(ad.softmax(z), np.asarray(y)).item()
-        assert tr.loss_erm_plus(z, y, 0.0).item() == cla
+        assert guided_loss(tr.ERM_PLUS, z, y, alpha_half=0.0).item() == cla
         z_onehot = ad.tensor([[1.0, 0.0]])
-        guid = tr.loss_erm_plus(z_onehot, y, 1.0).item() - cla
+        guid = guided_loss(tr.ERM_PLUS, z_onehot, y, alpha_half=1.0).item() - cla
         assert guid == 0.0
 
     def test_ls_values(self):
         y = one_hot(np.array([0]), 2)
         z = ad.tensor([[0.0, 0.0]])
-        assert abs(tr.loss_ls(z, y, 0.2).item() - np.log(2)) < 1e-12
+        assert abs(guided_loss(tr.LS, z, y, ls_epsilon=0.2).item() - np.log(2)) < 1e-12
         rng = np.random.default_rng(2)
         z2 = ad.tensor(rng.normal(size=(3, 2)))
         y2 = one_hot(rng.integers(2, size=3), 2)
-        assert (tr.loss_ls(z2, y2, 0.0).item()
+        assert (guided_loss(tr.LS, z2, y2, ls_epsilon=0.0).item()
                 == ad.cross_entropy(ad.softmax(ad.tensor(z2.data)), y2).item())
 
     def test_kd_variants(self):
@@ -101,13 +110,15 @@ class TestLosses:
         qe = tr.softmax_np(ze)
         cla = ad.cross_entropy(ad.softmax(ad.tensor(z)), y).item()
         # identical logits: zz guidance vanishes
-        same = tr.loss_kd_variant(tr.KD_ZZ, ad.tensor(ze), y2 := one_hot(np.zeros(2, dtype=int), 3),
-                                  ze, qe, 1.0).item()
+        y2 = one_hot(np.zeros(2, dtype=int), 3)
+        same = guided_loss(tr.KD_ZZ, ad.tensor(ze), y2, z_expert=ze, q_expert=qe,
+                           alpha_half=1.0).item()
         base = ad.cross_entropy(ad.softmax(ad.tensor(ze)), y2).item()
         assert abs(same - base) < 1e-15
         # weight 0 reduces every kind to the plain loss
         for kind in (tr.KD_ZZ, tr.KD_QZ, tr.KD_QQ):
-            assert tr.loss_kd_variant(kind, ad.tensor(z), y, ze, qe, 0.0).item() == cla
+            assert guided_loss(kind, ad.tensor(z), y, z_expert=ze, q_expert=qe,
+                               alpha_half=0.0).item() == cla
 
     def test_kd_qq_hand_value(self):
         z = np.log(np.array([[0.6, 0.4]]))
@@ -116,7 +127,8 @@ class TestLosses:
         qe = np.array([[0.5, 0.5]])
         y = one_hot(np.array([0]), 2)
         cla = ad.cross_entropy(ad.softmax(ad.tensor(z)), y).item()
-        total = tr.loss_kd_variant(tr.KD_QQ, ad.tensor(z), y, z, qe, 1.0).item()
+        total = guided_loss(tr.KD_QQ, ad.tensor(z), y, z_expert=z, q_expert=qe,
+                            alpha_half=1.0).item()
         assert abs((total - cla) - 0.02) < 1e-12
 
     def test_kd_ce_ramp(self):
@@ -131,26 +143,60 @@ class TestLosses:
         y = one_hot(rng.integers(4, size=3), 4)
         qe = tr.softmax_np(rng.normal(size=(3, 4)))
         wt = tr.kd_weight(1.0, 0, 200)
-        got = tr.loss_kd_variant(tr.KD_CE, ad.tensor(z), y, z, qe, wt).item()
+        got = guided_loss(tr.KD_CE, ad.tensor(z), y, q_expert=qe, kd_ce_weight=wt).item()
         assert got == ad.cross_entropy(ad.softmax(ad.tensor(z)), y).item()
 
     def test_self_guid_value_and_detach(self):
-        z = ad.parameter(np.array([[0.0, 0.0]]))
-        guid = tr.loss_self_guid(z)
-        assert abs(guid.item() - 0.5) < 1e-15
-        ad.backward(guid)
-        # gradient flows only through the logit branch: d/dz of ||z - c||^2
-        assert np.allclose(z.grad, 2 * (z.data - 0.5))
+        y = one_hot(np.array([0]), 2)
+        z = ad.tensor([[0.0, 0.0]])
+        cla = ad.cross_entropy(ad.softmax(z), y).item()
+        assert abs((guided_loss(tr.SELF_GUID, z, y, alpha_half=1.0).item() - cla) - 0.5) < 1e-15
+        z = ad.parameter(np.array([[0.8, -0.3]]))
+        ad.backward(guided_loss(tr.SELF_GUID, z, y, alpha_half=1.0))
+        # the guidance gradient flows only through the logit branch: d/dz of ||z - c||^2
+        q = tr.softmax_np(z.data)
+        assert np.allclose(z.grad, (q - y) + 2 * (z.data - q), rtol=0, atol=1e-14)
 
     def test_lfme_guid(self):
-        q = np.array([[1.0, 0.0]])
-        ql = np.array([[0.0, 1.0]])
-        assert tr.loss_lfme_guid(ad.tensor(q), ql).item() == 2.0
-        assert tr.loss_lfme_guid(ad.tensor(q), q).item() == 0.0
+        assert tr.GUIDANCE_PAIRS[tr.LFME_GUID] == ("q", "q_teacher")
+        z = ad.tensor([[0.0, 0.0]])
+        y = one_hot(np.array([0]), 2)
+        cla = ad.cross_entropy(ad.softmax(z), y).item()
+        total = guided_loss(tr.LFME_GUID, z, y, q_teacher=np.array([[0.0, 1.0]]), alpha_half=1.0)
+        assert abs((total.item() - cla) - 0.5) < 1e-15
         rng = np.random.default_rng(5)
-        a, b = tr.softmax_np(rng.normal(size=(4, 3))), tr.softmax_np(rng.normal(size=(4, 3)))
-        assert abs(tr.loss_lfme_guid(ad.tensor(a), b).item()
-                   - ((a - b) ** 2).sum() / 4) < 1e-15
+        z = ad.tensor(rng.normal(size=(4, 3)))
+        y = one_hot(rng.integers(3, size=4), 3)
+        a, b = tr.softmax_np(z.data), tr.softmax_np(rng.normal(size=(4, 3)))
+        cla = ad.cross_entropy(ad.softmax(z), y).item()
+        assert guided_loss(tr.LFME_GUID, z, y, q_teacher=a, alpha_half=1.0).item() == cla
+        total = guided_loss(tr.LFME_GUID, z, y, q_teacher=b, alpha_half=1.0).item()
+        assert abs((total - cla) - ((a - b) ** 2).sum() / 4) < 1e-15
+
+    def test_guidance_pair_table(self):
+        assert tr.GUIDANCE_PAIRS == {
+            tr.LFME: ("z", "q_expert"), tr.ERM_PLUS: ("z", "y"),
+            tr.KD_ZZ: ("z", "z_expert"), tr.KD_QZ: ("q", "z_expert"),
+            tr.KD_QQ: ("q", "q_expert"), tr.SELF_GUID: ("z", "q"),
+            tr.LFME_GUID: ("q", "q_teacher"),
+            tr.ERMP_W_EXPT: ("z", "y"), tr.ERMP_W_SELF: ("z", "y"),
+        }
+
+    @pytest.mark.parametrize("kind", sorted(tr.GUIDANCE_PAIRS))
+    def test_guidance_pairs_match_formula(self, kind):
+        # cross_entropy(q, y) + alpha_half * ||a - b||^2 / B, with (a, b) from the table
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(5, 4))
+        y = one_hot(rng.integers(4, size=5), 4)
+        q = tr.softmax_np(z)
+        guides = {"z_expert": rng.normal(size=(5, 4)),
+                  "q_expert": tr.softmax_np(rng.normal(size=(5, 4))),
+                  "q_teacher": tr.softmax_np(rng.normal(size=(5, 4)))}
+        named = {**guides, "y": y, "z": z, "q": q}
+        a, b = tr.GUIDANCE_PAIRS[kind]
+        expected = (-(y * np.log(q)).sum() / 5 + 0.7 * ((named[a] - named[b]) ** 2).sum() / 5)
+        got = guided_loss(kind, ad.tensor(z), y, alpha_half=0.7, hard_weight_beta=0.0, **guides)
+        assert abs(got.item() - expected) < 1e-12
 
     def test_hard_weights(self):
         assert np.allclose(tr.hard_weights(np.ones(5), 2.0), 1.0)
@@ -386,7 +432,7 @@ class TestAggregation:
         experts = self.experts()
         x = np.random.default_rng(1).normal(size=(6, 4))
         probs = np.stack([tr.softmax_np(mm.forward_array(e, x)) for e in experts])
-        ent = np.stack([tr.entropy_rows(p) for p in probs])
+        ent = np.stack([an.entropy_rows(p) for p in probs])
         out = tr.aggregate_predict(tr.AGG_CONF, experts, None, x)
         for b in range(6):
             assert np.array_equal(out[b], probs[ent[:, b].argmin(), b])
@@ -419,15 +465,22 @@ class TestTrainLoop:
         for ea, eb in zip(a.evals, b.evals):
             assert ea.val_acc == eb.val_acc
 
-    def test_lfme_alpha_zero_matches_erm_bitwise(self):
+    @pytest.fixture(scope="class")
+    def erm_run(self):
         suite = small_suite()
-        cfg = quick_config()
-        erm = tr.train_run(suite[:3], tr.MethodSpec(tr.ERM), cfg, held_out=suite[3])
-        lfme0 = tr.train_run(suite[:3], tr.MethodSpec(tr.LFME, alpha_half=0.0), cfg,
-                             held_out=suite[3])
-        assert np.array_equal(erm.target_loss_trace, lfme0.target_loss_trace)
-        assert erm.ood_accuracy == lfme0.ood_accuracy
-        for ea, eb in zip(erm.evals, lfme0.evals):
+        return tr.run_method(suite[:3], tr.MethodSpec(tr.ERM), quick_config(), held_out=suite[3])
+
+    @pytest.mark.parametrize("kind", [k for k in tr.METHOD_KINDS
+                                      if k != tr.ERM and k not in tr.AGG_KINDS])
+    def test_lfme_alpha_zero_matches_erm_bitwise(self, erm_run, kind):
+        # Every guidance or smoothing weight at zero collapses a kind onto ERM, bitwise.
+        suite = small_suite()
+        method = tr.MethodSpec(kind, alpha_half=0.0, ls_epsilon=0.0, hard_weight_beta=0.0)
+        run = tr.run_method(suite[:3], method, quick_config(), held_out=suite[3])
+        assert np.array_equal(erm_run.target_loss_trace, run.target_loss_trace)
+        assert erm_run.ood_accuracy == run.ood_accuracy
+        assert len(erm_run.evals) == len(run.evals)
+        for ea, eb in zip(erm_run.evals, run.evals):
             assert ea.val_acc == eb.val_acc and ea.train_acc == eb.train_acc
             assert ea.val_entropy == eb.val_entropy
             assert np.array_equal(ea.target_params[0], eb.target_params[0])

@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 Supports exactly what MLP classification losses and logit-regression guidance
-terms need: matmul, bias add, relu, softmax, cross entropy (hard and soft
+terms need: the affine layer (on 2-D operands or on [M, ...] stacks of M
+same-shape models), relu, softmax, cross entropy (hard and soft
 targets), squared-error losses, per-sample loss rows, and detach. A fresh
 graph is built on every forward pass; ``backward`` walks it once in reverse
 topological order.
@@ -113,36 +114,26 @@ def _result(data, parents, backward_fn):
     return Tensor(data)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D tensors."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(out):
-        g = out.grad
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return _result(out_data, (a, b), backward)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-wise bias add: x[B,K] + b[K]."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias shapes incompatible: {x.data.shape} + {b.data.shape}")
-    out_data = x.data + b.data
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b``: x[B,d], w[d,h], b[h], or stacks x[M,B,d], w[M,d,h], b[M,h]."""
+    xd, wd, bd = x.data, w.data, b.data
+    if not (xd.ndim == wd.ndim == bd.ndim + 1 and xd.ndim in (2, 3)
+            and xd.shape[:-2] == wd.shape[:-2] == bd.shape[:-1]
+            and xd.shape[-1] == wd.shape[-2] and wd.shape[-1] == bd.shape[-1]):
+        raise ShapeError(f"linear shapes incompatible: {xd.shape} x {wd.shape} + {bd.shape}")
+    out_data = xd @ wd
+    out_data += bd if bd.ndim == 1 else bd[:, None]
 
     def backward(out):
         g = out.grad
         if x.requires_grad:
-            x.accumulate_grad(g)
+            x.accumulate_grad(g @ wd.mT)
+        if w.requires_grad:
+            w.accumulate_grad(xd.mT @ g)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=-2))
 
-    return _result(out_data, (x, b), backward)
+    return _result(out_data, (x, w, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -186,6 +177,17 @@ def sum_all(t: Tensor) -> Tensor:
     def backward(out):
         if t.requires_grad:
             t.accumulate_grad(np.full_like(t.data, out.grad.reshape(())))
+
+    return _result(out_data, (t,), backward)
+
+
+def sum_rows(t: Tensor) -> Tensor:
+    """Sums over the last axis: [M,B] -> [M]."""
+    out_data = t.data.sum(axis=-1)
+
+    def backward(out):
+        if t.requires_grad:
+            t.accumulate_grad(np.broadcast_to(out.grad[..., None], t.data.shape))
 
     return _result(out_data, (t,), backward)
 
@@ -257,16 +259,17 @@ def soft_cross_entropy(q: Tensor, targets, _validate=True) -> Tensor:
 
 
 def cross_entropy_rows(q: Tensor, y) -> Tensor:
-    """Per-sample cross entropy: [B,K] probabilities and one-hot labels -> [B]."""
+    """Per-sample cross entropy over the last axis: [..., B, K] probabilities and
+    one-hot labels -> [..., B]."""
     y = np.asarray(y, dtype=np.float64)
     _check_one_hot(y, q.data)
     clamped = np.maximum(q.data, LOG_FLOOR)
-    out_data = -(y * np.log(clamped)).sum(axis=1)
+    out_data = -(y * np.log(clamped)).sum(axis=-1)
 
     def backward(out):
         if q.requires_grad:
             dq = np.where(q.data >= LOG_FLOOR, -y / clamped, 0.0)
-            q.accumulate_grad(out.grad[:, None] * dq)
+            q.accumulate_grad(out.grad[..., None] * dq)
 
     return _result(out_data, (q,), backward)
 

@@ -80,6 +80,7 @@ def load_config(args) -> dict:
                 raise CliError(f"--set {key}: config.{'.'.join(parts[:i + 1])} is not an object")
         node[parts[-1]] = value
 
+    _check_sections(config)
     if getattr(args, "method", None):
         config["methods"] = [{"kind": args.method}]
     if getattr(args, "alpha_half", None) is not None:
@@ -103,9 +104,23 @@ def load_config(args) -> dict:
     return config
 
 
+def _check_sections(config: dict):
+    """Expand ``methods: "all"`` and reject a section of the wrong type, naming it."""
+    if config["methods"] == "all":
+        config["methods"] = [dict(m) for m in ALL_METHODS_PRESET]
+    for key in ("suite", "train"):
+        if not isinstance(config[key], dict):
+            raise CliError(f"config.{key} must be an object, got {config[key]!r}")
+    methods = config["methods"]
+    if not isinstance(methods, list) or not methods:
+        raise CliError(f'config.methods must be "all" or a nonempty list, got {methods!r}')
+    for i, m in enumerate(methods):
+        if not isinstance(m, dict):
+            raise CliError(f"config.methods[{i}] must be an object, got {m!r}")
+
+
 def validate_config(config: dict):
-    if not config["methods"]:
-        raise CliError("config.methods must be nonempty")
+    _check_sections(config)
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
         raise CliError(f"config.seeds must be a nonempty list of integers, got {seeds!r}")
@@ -113,8 +128,6 @@ def validate_config(config: dict):
             isinstance(held_out, list) and all(type(h) is int for h in held_out)):
         raise CliError('config.held_out must be "all", "last" or a list of domain ids, '
                        f"got {held_out!r}")
-    if config["methods"] == "all":
-        config["methods"] = [dict(m) for m in ALL_METHODS_PRESET]
     for i, m in enumerate(config["methods"]):
         bad = set(m) - METHOD_KEYS
         if bad:

@@ -268,9 +268,9 @@ def load_csv_suite(path, domain_column, label_column, standardize=True) -> list[
 
 @dataclass
 class Batch:
-    xs: list[np.ndarray]        # per source domain, batch_per_domain x d
-    ys: list[np.ndarray]
-    x_all: np.ndarray           # concatenation in domain order
+    xs: np.ndarray              # [M, batch_per_domain, d], source domains in order
+    ys: np.ndarray              # [M, batch_per_domain]
+    x_all: np.ndarray           # xs reshaped to [M * batch_per_domain, d]
     y_all: np.ndarray
     domain_ids: np.ndarray
 
@@ -281,7 +281,7 @@ def _epoch_perm(ds: DomainDataset, seed: int, epoch: int) -> np.ndarray:
 
 
 def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int, step: int) -> Batch:
-    """Aligned per-domain minibatches for one step, plus their concatenation.
+    """Aligned per-domain minibatches for one step, stacked, plus their concatenation.
 
     Deterministic in (seed, step). Each domain walks a per-epoch shuffle of
     its train split; exhaustion wraps into the next epoch's shuffle.
@@ -293,8 +293,10 @@ def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int,
         if b > len(ds.train_idx):
             raise DataError(
                 f"batch_per_domain {b} exceeds train size {len(ds.train_idx)} of {ds.name}")
-    xs, ys, ids = [], [], []
-    for ds in sources:
+    m, d = len(sources), sources[0].features.shape[1]
+    xs = np.empty((m, b, d))
+    ys = np.empty((m, b), dtype=sources[0].labels.dtype)
+    for i, ds in enumerate(sources):
         n = len(ds.train_idx)
         pos = step * b
         epoch, off = divmod(pos, n)
@@ -304,10 +306,10 @@ def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int,
             epoch += 1
             perm = _epoch_perm(ds, seed, epoch)
             take = np.concatenate([take, perm[: b - len(take)]])
-        xs.append(ds.features[take])
-        ys.append(ds.labels[take])
-        ids.append(np.full(b, ds.domain_id, dtype=np.int64))
-    return Batch(xs, ys, np.concatenate(xs), np.concatenate(ys), np.concatenate(ids))
+        xs[i] = ds.features[take]
+        ys[i] = ds.labels[take]
+    ids = np.repeat(np.array([ds.domain_id for ds in sources], dtype=np.int64), b)
+    return Batch(xs, ys, xs.reshape(m * b, d), ys.reshape(m * b), ids)
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:

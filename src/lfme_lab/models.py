@@ -2,7 +2,8 @@
 
 One architecture serves the per-domain experts, the deployed target model,
 and the domain-weighting network: ReLU hidden layers, identity output, so
-the forward pass yields raw logits and losses apply softmax themselves.
+the forward pass yields raw logits and losses apply softmax themselves. The
+M experts train as one stacked model whose parameters are [M, ...] arrays.
 """
 
 from __future__ import annotations
@@ -75,16 +76,41 @@ def model_from_arrays(arrays) -> MlpModel:
     return model
 
 
+def stack_models(models: list[MlpModel]) -> MlpModel:
+    """One model whose parameters are [M, ...] stacks of M same-shape models' parameters."""
+    dims = models[0].layer_dims
+    for m in models[1:]:
+        if m.layer_dims != dims:
+            raise ValueError(f"cannot stack layer dims {m.layer_dims} with {dims}")
+    stacked = [ad.parameter(np.stack([p.data for p in ps]))
+               for ps in zip(*(m.parameters() for m in models))]
+    return MlpModel(dims, stacked[::2], stacked[1::2])
+
+
+def unstack(model: MlpModel) -> list[MlpModel]:
+    """Per-member models whose parameters are views of a stacked model's storage.
+
+    A view follows in-place updates of the stack, so make views after an
+    optimizer has taken over (and rebound) the stacked parameters.
+    """
+    return [MlpModel(model.layer_dims, [ad.tensor(w.data[i]) for w in model.weights],
+                     [ad.tensor(b.data[i]) for b in model.biases])
+            for i in range(model.weights[0].data.shape[0])]
+
+
 def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
-    """Logits for a batch of feature rows; ReLU hidden, identity output."""
-    if x.data.ndim != 2 or x.data.shape[1] != model.layer_dims[0]:
+    """Logits for a batch of feature rows; ReLU hidden, identity output.
+
+    A stacked model takes one batch per member, x[M,B,d], and gives [M,B,K].
+    """
+    if x.data.ndim != model.weights[0].data.ndim or x.data.shape[-1] != model.layer_dims[0]:
         raise ad.ShapeError(
             f"input shape {x.data.shape} does not match feature width {model.layer_dims[0]}"
         )
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = ad.add_bias(ad.matmul(h, w), b)
+        h = ad.linear(h, w, b)
         if i < last:
             h = ad.relu(h)
     return h

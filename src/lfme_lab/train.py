@@ -208,8 +208,13 @@ def make_optimizer(params, config: TrainConfig):
 # Losses
 
 
-def loss_expert(z: ad.Tensor, y_onehot) -> ad.Tensor:
-    return ad.cross_entropy(ad.softmax(z), y_onehot)
+def loss_expert(rows: ad.Tensor) -> ad.Tensor:
+    """The experts' joint term: each expert's batch-mean loss, summed over experts.
+
+    ``rows`` holds per-sample losses [M,B]. numpy sums fewer than 8 values left to
+    right, so for M < 8 the value is bitwise the ((e0 + e1) + e2) of per-expert terms.
+    """
+    return ad.sum_all(ad.scale(ad.sum_rows(rows), 1.0 / rows.data.shape[-1]))
 
 
 # Guided kinds: target loss = cross_entropy(q, y) + alpha_half * mse(a, b); a is the
@@ -452,20 +457,18 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
         raise ConfigError("lfme_guid needs a frozen teacher model")
 
     target = mm.init_mlp(dims, [config.seed, 11, 0]) if needs_target else None
-    experts = ([mm.init_mlp(dims, [config.seed, 12, i]) for i in range(n_src)]
+    stacked = (mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i]) for i in range(n_src)])
                if needs_experts else None)
     weighting = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0]) \
         if needs_weighting else None
 
     params = []
-    if experts:
-        for e in experts:
-            params.extend(e.parameters())
-    if target:
-        params.extend(target.parameters())
-    if weighting:
-        params.extend(weighting.parameters())
+    for model in (stacked, target, weighting):
+        if model is not None:
+            params.extend(model.parameters())
     opt = make_optimizer(params, config)
+    # Per-expert views of the stacked storage the optimizer now owns.
+    experts = mm.unstack(stacked) if stacked is not None else None
 
     probe = make_probe(sources, config)
     ramp = method.ramp_steps if method.ramp_steps is not None else config.steps // 2
@@ -484,19 +487,14 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
         q_expert_rows = None
         z_expert_rows = None
         expert_sample_losses = None
-        if experts is not None:
-            q_parts, z_parts, loss_parts = [], [], []
-            for i, e in enumerate(experts):
-                z_i = mm.forward(e, ad.tensor(batch.xs[i]))
-                q_i = ad.softmax(z_i)
-                rows_i = ad.cross_entropy_rows(q_i, one_hot(batch.ys[i], k))
-                terms.append(ad.scale(ad.sum_all(rows_i), 1.0 / config.batch_per_domain))
-                q_parts.append(q_i.data)
-                z_parts.append(z_i.data)
-                loss_parts.append(rows_i.data)
-            q_expert_rows = np.concatenate(q_parts)
-            z_expert_rows = np.concatenate(z_parts)
-            expert_sample_losses = np.concatenate(loss_parts)
+        if stacked is not None:
+            z_e = mm.forward(stacked, ad.tensor(batch.xs))
+            q_e = ad.softmax(z_e)
+            rows_e = ad.cross_entropy_rows(q_e, y_all_1h.reshape(*batch.ys.shape, k))
+            terms.append(loss_expert(rows_e))
+            q_expert_rows = q_e.data.reshape(-1, k)
+            z_expert_rows = z_e.data.reshape(-1, k)
+            expert_sample_losses = rows_e.data.reshape(-1)
 
         if weighting is not None:
             zw = mm.forward(weighting, ad.tensor(batch.x_all))

@@ -167,8 +167,8 @@ class TestFiniteDifference:
 
             def run(w1v):
                 t = ad.Tensor(w1v, requires_grad=True)
-                z = ad.add_bias(ad.matmul(ad.relu(ad.matmul(ad.Tensor(x), t)),
-                                          ad.Tensor(w2)), ad.Tensor(bias))
+                h1 = ad.relu(ad.linear(ad.Tensor(x), t, ad.Tensor(np.zeros(h))))
+                z = ad.linear(h1, ad.Tensor(w2), ad.Tensor(bias))
                 loss = ad.add(ad.cross_entropy(ad.softmax(z), y1h),
                               ad.scale(ad.mse(z, ad.tensor(q_ref)), 0.7))
                 return t, loss

@@ -34,32 +34,82 @@ def check_grad(build_loss, arrays, rel_tol=1e-4):
         assert np.max(np.abs(t.grad - expected) / denom) < rel_tol
 
 
+def zero_bias(n):
+    return ad.tensor(np.zeros(n))
+
+
 class TestMatmul:
+    """The product part of ``ad.linear``, with a zero bias."""
+
     def test_identity(self):
         a = ad.tensor(np.eye(2))
         b = ad.tensor([[2.0, 3.0], [4.0, 5.0]])
-        assert np.array_equal(ad.matmul(a, b).data, b.data)
+        assert np.array_equal(ad.linear(a, b, zero_bias(2)).data, b.data)
 
     def test_hand_expansion(self):
-        out = ad.matmul(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]))
+        out = ad.linear(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]), zero_bias(1))
         assert out.data.tolist() == [[11.0]]
 
     def test_zero_annihilates(self):
-        out = ad.matmul(ad.tensor([[0.0]]), ad.tensor([[123.0, -4.0]]))
+        out = ad.linear(ad.tensor([[0.0]]), ad.tensor([[123.0, -4.0]]), zero_bias(2))
         assert np.all(out.data == 0.0)
 
     def test_shape_mismatch_names_both(self):
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 2))))
+            ad.linear(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 2))), zero_bias(2))
 
     def test_backward(self):
         a = ad.parameter(np.arange(6.0).reshape(2, 3))
         b = ad.parameter(np.arange(12.0).reshape(3, 4))
-        loss = ad.sum_all(ad.matmul(a, b))
+        loss = ad.sum_all(ad.linear(a, b, zero_bias(4)))
         ad.backward(loss)
         g = np.ones((2, 4))
         assert np.allclose(a.grad, g @ b.data.T)
         assert np.allclose(b.grad, a.data.T @ g)
+
+
+class TestLinear:
+    def test_bias_added_to_every_row(self):
+        out = ad.linear(ad.tensor(np.zeros((3, 2))), ad.tensor(np.ones((2, 2))),
+                        ad.tensor([1.5, -2.0]))
+        assert out.data.tolist() == [[1.5, -2.0]] * 3
+
+    def test_stack_equals_slices_bitwise(self):
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 6))
+        g = rng.normal(size=(3, 5, 6))
+        tx, tw, tb = ad.parameter(x), ad.parameter(w), ad.parameter(b)
+        out = ad.linear(tx, tw, tb)
+        out.grad = g
+        out.backward_fn(out)
+        for i in range(3):
+            sx, sw, sb = ad.parameter(x[i]), ad.parameter(w[i]), ad.parameter(b[i])
+            sout = ad.linear(sx, sw, sb)
+            sout.grad = g[i]
+            sout.backward_fn(sout)
+            assert np.array_equal(out.data[i], sout.data)
+            for stacked, single in ((tx, sx), (tw, sw), (tb, sb)):
+                assert np.array_equal(stacked.grad[i], single.grad)
+
+    @pytest.mark.parametrize("xs, ws, bs", [
+        ((2, 5, 4), (3, 4, 6), (3, 6)),         # member counts differ
+        ((5, 4), (3, 4, 6), (3, 6)),            # 2-D input, stacked weights
+        ((3, 5, 4), (3, 4, 6), (6,)),           # unstacked bias
+        ((3, 5, 4), (3, 4, 6), (3, 5)),         # bias width
+        ((5, 4), (4, 6), (5,)),
+    ])
+    def test_shape_mismatch(self, xs, ws, bs):
+        with pytest.raises(ad.ShapeError, match="linear shapes incompatible"):
+            ad.linear(ad.tensor(np.ones(xs)), ad.tensor(np.ones(ws)), ad.tensor(np.ones(bs)))
+
+
+class TestSumRows:
+    def test_values_and_gradient(self):
+        t = ad.parameter(np.arange(6.0).reshape(2, 3))
+        out = ad.sum_rows(t)
+        assert out.data.tolist() == [3.0, 12.0]
+        ad.backward(ad.sum_all(ad.scale(out, 0.5)))
+        assert np.array_equal(t.grad, np.full((2, 3), 0.5))
 
 
 class TestSoftmax:
@@ -149,7 +199,7 @@ class TestMse:
 class TestDetach:
     def test_blocks_gradients(self):
         w = ad.parameter(np.array([[1.0, 2.0]]))
-        upstream = ad.matmul(ad.tensor([[3.0], [4.0]]), w)
+        upstream = ad.linear(ad.tensor([[3.0], [4.0]]), w, zero_bias(2))
         loss = ad.mse(ad.parameter(np.zeros((2, 2))), ad.detach(upstream))
         ad.backward(loss)
         assert w.grad is None
@@ -186,7 +236,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             w = ad.parameter(rng.normal(size=(4, 3)))
             x = ad.tensor(rng.normal(size=(5, 4)))
-            q = ad.softmax(ad.matmul(x, w))
+            q = ad.softmax(ad.linear(x, w, zero_bias(3)))
             y = np.eye(3)[rng.integers(3, size=5)]
             loss = ad.cross_entropy(q, y)
             ad.backward(loss)
@@ -208,7 +258,37 @@ class TestFiniteDifferences:
             a = rng.uniform(-2, 2, (m, k))
             b = rng.uniform(-2, 2, (k, n))
             c = rng.uniform(-2, 2, (m, n))
-            check_grad(lambda ta, tb: ad.mse(ad.matmul(ta, tb), ad.tensor(c)), [a, b])
+            check_grad(lambda ta, tb: ad.mse(ad.linear(ta, tb, zero_bias(n)), ad.tensor(c)),
+                       [a, b])
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+    def test_linear(self, lead):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            b, d, h = rng.integers(1, 6, size=3)
+            x = rng.uniform(-2, 2, (*lead, b, d))
+            w = rng.uniform(-2, 2, (*lead, d, h))
+            bias = rng.uniform(-2, 2, (*lead, h))
+            c = rng.uniform(-2, 2, (*lead, b, h))
+            check_grad(lambda tx, tw, tb: ad.mse(ad.linear(tx, tw, tb), ad.tensor(c)),
+                       [x, w, bias])
+
+    def test_stacked_cross_entropy_rows(self):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            m, b, k = rng.integers(1, 4), rng.integers(1, 6), rng.integers(2, 6)
+            q = rng.uniform(0.2, 1.0, (m, b, k))
+            y = np.eye(k)[rng.integers(k, size=(m, b))]
+            c = rng.uniform(-1, 1, (m, b))
+            check_grad(lambda t: ad.mse(ad.cross_entropy_rows(t, y), ad.tensor(c)), [q])
+
+    def test_sum_rows(self):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            m, b = rng.integers(1, 5, size=2)
+            a = rng.uniform(-2, 2, (m, b))
+            c = rng.uniform(-2, 2, m)
+            check_grad(lambda t: ad.mse(ad.sum_rows(t), ad.tensor(c)), [a])
 
     def test_softmax(self):
         rng = np.random.default_rng(2)
@@ -244,7 +324,7 @@ class TestFiniteDifferences:
             y = np.eye(5)[rng.integers(5, size=4)]
             check_grad(
                 lambda tw, tb: ad.cross_entropy(
-                    ad.softmax(ad.relu(ad.add_bias(ad.matmul(ad.tensor(x), tw), tb))), y),
+                    ad.softmax(ad.relu(ad.linear(ad.tensor(x), tw, tb))), y),
                 [w, b])
 
     def test_per_sample_rows(self):

@@ -130,6 +130,10 @@ class TestTrain:
         ("train.hidden_dims=[2.5]", "hidden_dims"),
         ("suite.n_classes=\"3\"", "n_classes"),
         ("methods=[{\"kind\": \"kd_ce\", \"ramp_steps\": \"x\"}]", "ramp_steps"),
+        ("methods=[1]", "config.methods[0]"),
+        ("methods={\"kind\": \"erm\"}", "config.methods must be"),
+        ("train=5", "config.train"),
+        ("suite=5", "config.suite"),
     ])
     def test_malformed_override_exit_code(self, tmp_path, capsys, override, key):
         cfg, _ = write_config(tmp_path)
@@ -236,6 +240,14 @@ class TestConfigHandling:
                                                              "suite.noise=0.7"]))
         assert loaded["train"]["steps"] == 99
         assert loaded["suite"]["noise"] == 0.7
+
+    def test_all_methods_take_alpha_half(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        args = _Args(config=str(cfg), set=['methods="all"'])
+        args.alpha_half = 0.5
+        loaded = cli.load_config(args)
+        assert len(loaded["methods"]) == len(cli.ALL_METHODS_PRESET) > 1
+        assert all(m["alpha_half"] == 0.5 for m in loaded["methods"])
 
     def test_sweep_grid_rows(self, tmp_path):
         cfg, config = write_config(tmp_path, alpha_grid=[0.0, 1.0])

@@ -66,6 +66,35 @@ class TestForward:
         assert np.array_equal(mm.forward_array(m, x), mm.forward_array(m, x))
 
 
+class TestStack:
+    def test_unstack_round_trip_and_stacked_forward(self):
+        models = [mm.init_mlp([4, 8, 3], seed=s) for s in (1, 2, 3)]
+        stacked = mm.stack_models(models)
+        assert stacked.weights[0].data.shape == (3, 4, 8)
+        assert stacked.biases[1].data.shape == (3, 3)
+        x = np.random.default_rng(0).normal(size=(3, 5, 4))
+        logits = mm.forward_array(stacked, x)
+        for i, (m, view) in enumerate(zip(models, mm.unstack(stacked))):
+            for a, b in zip(m.param_arrays(), view.param_arrays()):
+                assert np.array_equal(a, b)
+            assert np.array_equal(logits[i], mm.forward_array(m, x[i]))
+
+    def test_unstacked_views_share_storage(self):
+        stacked = mm.stack_models([mm.init_mlp([4, 3], seed=s) for s in (1, 2)])
+        view = mm.unstack(stacked)[1]
+        stacked.weights[0].data[1] += 1.0
+        assert np.array_equal(view.weights[0].data, stacked.weights[0].data[1])
+
+    def test_mismatched_dims_rejected(self):
+        with pytest.raises(ValueError, match="cannot stack"):
+            mm.stack_models([mm.init_mlp([4, 8, 3], 0), mm.init_mlp([4, 6, 3], 1)])
+
+    def test_stacked_model_needs_stacked_input(self):
+        stacked = mm.stack_models([mm.init_mlp([4, 3], seed=s) for s in (1, 2)])
+        with pytest.raises(ad.ShapeError):
+            mm.forward_array(stacked, np.zeros((5, 4)))
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = mm.init_mlp([4, 8, 3], seed=6)

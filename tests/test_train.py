@@ -31,22 +31,30 @@ def guided_loss(kind, z, y, alpha_half=1.0, ls_epsilon=0.1, hard_weight_beta=1.0
 
 
 class TestLosses:
+    @staticmethod
+    def expert_term(z, y):
+        return tr.loss_expert(ad.cross_entropy_rows(ad.softmax(ad.tensor(z)), y))
+
     def test_expert_loss_huge_margin(self):
-        z = ad.tensor([[50.0, 0.0, 0.0]])
-        y = one_hot(np.array([0]), 3)
-        assert tr.loss_expert(z, y).item() < 1e-12
+        z = np.array([[[50.0, 0.0, 0.0]]])
+        y = one_hot(np.array([0]), 3)[None]
+        assert self.expert_term(z, y).item() < 1e-12
 
     def test_expert_loss_zero_logits(self):
-        z = ad.tensor([[0.0, 0.0, 0.0]])
-        y = one_hot(np.array([1]), 3)
-        assert abs(tr.loss_expert(z, y).item() - np.log(3)) < 1e-12
+        z = np.array([[[0.0, 0.0, 0.0]]])
+        y = one_hot(np.array([1]), 3)[None]
+        assert abs(self.expert_term(z, y).item() - np.log(3)) < 1e-12
 
     def test_expert_loss_matches_composition(self):
+        # The sum over experts of each expert's sum(cross_entropy_rows) * (1/B),
+        # added left to right, as separate per-expert terms add up.
         rng = np.random.default_rng(0)
-        z = rng.normal(size=(6, 5))
-        y = one_hot(rng.integers(5, size=6), 5)
-        direct = tr.loss_expert(ad.tensor(z), y).item()
-        composed = ad.cross_entropy(ad.softmax(ad.tensor(z)), y).item()
+        z = rng.normal(size=(3, 6, 5))
+        y = one_hot(rng.integers(5, size=18), 5).reshape(3, 6, 5)
+        direct = self.expert_term(z, y).item()
+        terms = [ad.scale(ad.sum_all(ad.cross_entropy_rows(ad.softmax(ad.tensor(z[m])), y[m])),
+                          1.0 / 6) for m in range(3)]
+        composed = ad.add(ad.add(terms[0], terms[1]), terms[2]).item()
         assert direct == composed
 
     def test_lfme_alpha_zero_is_erm(self):
@@ -402,6 +410,80 @@ class TestFlatOptimizers:
             finally:
                 tracemalloc.stop()
         assert peak < opt.data.nbytes + 1024
+
+
+class TestStackedExperts:
+    """The stacked expert path against the per-expert 2-D path it replaces."""
+
+    DIMS = [8, 16, 12, 4]
+
+    def experts(self):
+        return [mm.init_mlp(self.DIMS, [5, 12, i]) for i in range(3)]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_joint_step_equals_per_expert_steps_bitwise(self, optimizer):
+        sources = small_suite(n_domains=4)[:3]
+        k, b = sources[0].n_classes, 16
+        per_expert = self.experts()
+        stacked = mm.stack_models(self.experts())
+        config = quick_config(optimizer=optimizer, lr=0.05, weight_decay=1e-2)
+        opt_s = tr.make_optimizer(stacked.parameters(), config)
+        opt_e = tr.make_optimizer([p for e in per_expert for p in e.parameters()], config)
+        from lfme_lab.domains import make_batches
+        for step in range(3):
+            batch = make_batches(sources, b, seed=0, step=step)
+            z = mm.forward(stacked, ad.tensor(batch.xs))
+            loss = tr.loss_expert(ad.cross_entropy_rows(ad.softmax(z), one_hot(batch.y_all, k)
+                                                        .reshape(3, b, k)))
+            ref, zs = None, []
+            for i, e in enumerate(per_expert):
+                z_i = mm.forward(e, ad.tensor(batch.xs[i]))
+                rows_i = ad.cross_entropy_rows(ad.softmax(z_i), one_hot(batch.ys[i], k))
+                term = ad.scale(ad.sum_all(rows_i), 1.0 / b)
+                ref = term if ref is None else ad.add(ref, term)
+                zs.append(z_i.data)
+            for opt in (opt_s, opt_e):
+                opt.zero_grad()
+            ad.backward(loss)
+            ad.backward(ref)
+            assert np.array_equal(z.data, np.stack(zs))
+            assert loss.item() == ref.item()
+            for i, e in enumerate(per_expert):
+                for ps, pe in zip(stacked.parameters(), e.parameters()):
+                    assert np.array_equal(ps.grad[i], pe.grad)
+            opt_s.step()
+            opt_e.step()
+            for i, e in enumerate(per_expert):
+                for ps, pe in zip(stacked.parameters(), e.parameters()):
+                    assert np.array_equal(ps.data[i], pe.data)
+
+    def test_views_follow_steps_and_recorded_copies_do_not(self):
+        stacked = mm.stack_models(self.experts())
+        opt = tr.Adam(stacked.parameters(), lr=0.05)
+        views = mm.unstack(stacked)
+        recorded = [v.param_arrays() for v in views]        # as EvalPoint.expert_params
+        before = [[a.copy() for a in arrays] for arrays in recorded]
+        rng = np.random.default_rng(3)
+        for p in stacked.parameters():
+            p.grad[...] = rng.normal(size=p.data.shape)
+        opt.step()
+        for i, view in enumerate(views):
+            for ps, pv, old in zip(stacked.parameters(), view.parameters(), before[i]):
+                assert np.array_equal(pv.data, ps.data[i])
+                assert not np.array_equal(pv.data, old)
+        for arrays, old in zip(recorded, before):
+            for a, o in zip(arrays, old):
+                assert np.array_equal(a, o)
+
+    def test_run_records_each_eval_points_experts(self):
+        suite = small_suite()
+        run = tr.train_run(suite[:3], tr.MethodSpec(tr.LFME), quick_config(steps=3, eval_every=1))
+        first, *later = [ev.expert_params for ev in run.evals]
+        assert len(first) == 3 and [a.shape for a in first[0]] == [
+            (8, 64), (64,), (64, 64), (64,), (64, 4), (4,)]
+        for params in later:
+            assert not np.array_equal(params[0][0], first[0][0])
+        assert not np.array_equal(later[0][0][0], later[1][0][0])
 
 
 class TestAggregation:

@@ -4,8 +4,10 @@ Supports exactly what MLP classification losses and logit-regression guidance
 terms need: the affine layer (on 2-D operands or on [M, ...] stacks of M
 same-shape models), relu, softmax, cross entropy (hard and soft
 targets), squared-error losses, per-sample loss rows, and detach. A fresh
-graph is built on every forward pass; ``backward`` walks it once in reverse
-topological order.
+graph is built on every forward pass. Each op result that requires grad joins
+its parents' tape, the graph's op results in creation order (a Wengert list),
+which is already a topological order; ``backward`` walks it once in reverse
+and consumes the graph.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ class GraphError(AutodiffError):
 class Tensor:
     """Dense float64 array with an optional gradient and graph linkage.
 
-    ``parents`` and ``backward_fn`` are set by the op that produced the
-    tensor; leaves have neither. ``grad`` is lazily allocated and
-    accumulated into by ``backward``.
+    ``parents``, ``backward_fn`` and ``tape`` are set by the op that produced
+    the tensor when it requires grad; leaves have none of them. ``backward``
+    sets ``grad`` on the first contribution and adds the later ones.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "tape")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -47,6 +49,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
         self.backward_fn = backward_fn
+        self.tape = None
 
     @property
     def shape(self):
@@ -54,8 +57,9 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def item(self):
         if self.data.size != 1:
@@ -75,43 +79,48 @@ def parameter(data):
 
 
 class GraphTape:
-    """Topologically ordered record of the ops reaching one tensor.
+    """The op results of one graph in creation order.
 
-    Each node appears after all of its parents, so reverse iteration is a
-    valid backward schedule.
+    Every op result is created after its parents, so reverse iteration is a
+    valid backward schedule. An op that joins two graphs appends the second
+    tape to the first, which keeps that order. ``backward`` takes ``nodes``
+    and sets it to None: the graph is consumed.
     """
 
-    def __init__(self, nodes):
-        self.nodes = nodes
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        self.nodes = []
 
     @classmethod
     def trace(cls, root: Tensor) -> "GraphTape":
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
+        """The tape ``root`` belongs to; an empty one for a leaf."""
+        return root.tape if root.tape is not None else cls()
 
-
-def _wants_grad(*tensors):
-    return any(t.requires_grad for t in tensors)
+    def absorb(self, other: "GraphTape") -> "GraphTape":
+        """Append ``other``'s nodes to this tape and move them onto it."""
+        for node in other.nodes:
+            node.tape = self
+        self.nodes += other.nodes
+        other.nodes = None
+        return self
 
 
 def _result(data, parents, backward_fn):
-    if _wants_grad(*parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
-    return Tensor(data)
+    """The op's output; if a parent requires grad, it joins its parents' tapes."""
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data)
+    tape = None
+    for p in parents:
+        if p.tape is None or p.tape is tape:
+            continue
+        if p.tape.nodes is None:
+            raise GraphError("an operand's graph was already consumed by backward")
+        tape = p.tape if tape is None else tape.absorb(p.tape)
+    out = Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+    out.tape = tape if tape is not None else GraphTape()
+    out.tape.nodes.append(out)
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -333,16 +342,22 @@ def detach(t: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate grads of every requires-grad tensor reachable from ``loss``.
+    """Accumulate into the grad of every requires-grad tensor reachable from ``loss``.
 
-    Repeated calls accumulate; callers zero grads between optimizer steps.
+    Consumes the graph: its tape is released, and a second ``backward`` or a
+    new op on any of its op results raises GraphError. Grads of leaves
+    accumulate across separate graphs; callers zero them between optimizer
+    steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise GraphError("backward on a tensor with no live graph")
     tape = GraphTape.trace(loss)
+    if tape.nodes is None:
+        raise GraphError("backward on a graph that an earlier backward already consumed")
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(tape.nodes):
-        if node.backward_fn is not None and node.grad is not None:
+    nodes, tape.nodes = tape.nodes, None
+    for node in reversed(nodes):
+        if node.grad is not None:
             node.backward_fn(node)

@@ -76,6 +76,8 @@ class DomainDataset:
     val_idx: np.ndarray
     n_classes: int
     meta: dict = field(default_factory=dict)
+    # (seed, epoch) -> read-only shuffle of train_idx; see _epoch_perm.
+    epoch_perms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -272,12 +274,25 @@ class Batch:
     ys: np.ndarray              # [M, batch_per_domain]
     x_all: np.ndarray           # xs reshaped to [M * batch_per_domain, d]
     y_all: np.ndarray
-    domain_ids: np.ndarray
+
+
+EPOCH_PERMS_KEPT = 2            # an epoch and the next one, for the step that wraps
 
 
 def _epoch_perm(ds: DomainDataset, seed: int, epoch: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 104729, ds.domain_id, epoch])
-    return rng.permutation(ds.train_idx)
+    """The shuffle of ``ds.train_idx`` for (seed, epoch), computed once per dataset.
+
+    The cache lives on the dataset, so two datasets never share an entry,
+    and keeps the newest EPOCH_PERMS_KEPT epochs. Cached arrays are read-only.
+    """
+    perm = ds.epoch_perms.get((seed, epoch))
+    if perm is None:
+        perm = np.random.default_rng([seed, 104729, ds.domain_id, epoch]).permutation(ds.train_idx)
+        perm.flags.writeable = False
+        if len(ds.epoch_perms) >= EPOCH_PERMS_KEPT:
+            del ds.epoch_perms[next(iter(ds.epoch_perms))]
+        ds.epoch_perms[(seed, epoch)] = perm
+    return perm
 
 
 def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int, step: int) -> Batch:
@@ -308,8 +323,7 @@ def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int,
             take = np.concatenate([take, perm[: b - len(take)]])
         xs[i] = ds.features[take]
         ys[i] = ds.labels[take]
-    ids = np.repeat(np.array([ds.domain_id for ds in sources], dtype=np.int64), b)
-    return Batch(xs, ys, xs.reshape(m * b, d), ys.reshape(m * b), ids)
+    return Batch(xs, ys, xs.reshape(m * b, d), ys.reshape(m * b))
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:

@@ -117,8 +117,14 @@ def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
 
 
 def forward_array(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Graph-free forward pass on a plain array (evaluation path)."""
-    return forward(model, ad.tensor(x)).data
+    """Graph-free forward pass on a plain array (evaluation path).
+
+    Runs ``forward`` on constant tensors over the same parameter arrays, so no
+    op result requires grad and no tape is built.
+    """
+    constants = MlpModel(model.layer_dims, [ad.tensor(w.data) for w in model.weights],
+                         [ad.tensor(b.data) for b in model.biases])
+    return forward(constants, ad.tensor(x)).data
 
 
 @dataclass

@@ -474,6 +474,9 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     ramp = method.ramp_steps if method.ramp_steps is not None else config.steps // 2
 
     pooled_val_x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
+    # The weighting network's labels: each row's source-domain position.
+    dom_1h = (one_hot(np.repeat(np.arange(n_src), config.batch_per_domain), n_src)
+              if weighting is not None else None)
 
     loss_trace = np.zeros(config.steps)
     target_loss_trace = np.zeros(config.steps)
@@ -498,9 +501,7 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 
         if weighting is not None:
             zw = mm.forward(weighting, ad.tensor(batch.x_all))
-            dom_pos = np.concatenate([np.full(config.batch_per_domain, i, dtype=np.int64)
-                                      for i in range(n_src)])
-            terms.append(ad.cross_entropy(ad.softmax(zw), one_hot(dom_pos, n_src)))
+            terms.append(ad.cross_entropy(ad.softmax(zw), dom_1h))
 
         target_loss_val = float("nan")
         if target is not None:

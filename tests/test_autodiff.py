@@ -231,6 +231,52 @@ class TestBackward:
         ad.backward(loss2)
         assert np.array_equal(t.grad, 2 * np.ones(3))
 
+    def test_second_backward_on_a_graph_raises(self):
+        t = ad.parameter(np.ones(3))
+        loss = ad.sum_all(ad.scale(t, 2.0))
+        ad.backward(loss)
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.backward(loss)
+        assert np.array_equal(t.grad, [2.0, 2.0, 2.0])
+
+    def test_op_on_a_consumed_result_raises(self):
+        t = ad.parameter(np.ones(3))
+        h = ad.scale(t, 2.0)
+        ad.backward(ad.sum_all(h))
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.sum_all(h)
+
+    def test_two_live_graphs(self):
+        w = ad.parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        x = ad.tensor([[1.0, 2.0]])
+        first = ad.sum_all(ad.relu(ad.linear(x, w, zero_bias(2))))
+        second = ad.sum_all(ad.scale(ad.linear(x, w, zero_bias(2)), 3.0))
+        ad.backward(second)
+        assert np.array_equal(w.grad, [[3.0, 3.0], [6.0, 6.0]])
+        ad.backward(first)
+        assert np.array_equal(w.grad, [[4.0, 4.0], [8.0, 8.0]])
+
+    def test_tape_is_creation_order_of_op_results(self):
+        a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+        ra = ad.relu(a)
+        sa = ad.scale(ra, 2.0)
+        rb = ad.relu(b)
+        assert ad.GraphTape.trace(sa).nodes == [ra, sa]
+        assert ad.GraphTape.trace(rb).nodes == [rb]
+        joined = ad.add(sa, rb)
+        loss = ad.sum_all(joined)
+        assert ad.GraphTape.trace(loss).nodes == [ra, sa, rb, joined, loss]
+        assert all(n.tape is loss.tape for n in (ra, sa, rb, joined))
+        assert ad.GraphTape.trace(a).nodes == []
+        assert ad.add(ad.tensor(np.ones(2)), ad.tensor(np.ones(2))).tape is None
+
+    def test_first_contribution_is_copied(self):
+        a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
+        ra, rb = ad.relu(a), ad.relu(b)
+        ad.backward(ad.sum_all(ad.add(ra, rb)))
+        assert not np.shares_memory(ra.grad, rb.grad)
+        assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
+
     def test_determinism(self):
         def once():
             rng = np.random.default_rng(42)

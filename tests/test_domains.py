@@ -119,7 +119,6 @@ class TestBatches:
         sources = self.suite()
         batch = make_batches(sources, 4, seed=0, step=0)
         assert batch.x_all.shape == (12, 8)
-        assert batch.domain_ids.tolist() == [0] * 4 + [1] * 4 + [2] * 4
         assert np.array_equal(np.concatenate(batch.ys), batch.y_all)
 
     def test_epoch_disjoint(self):
@@ -146,6 +145,38 @@ class TestBatches:
         n_train = len(sources[0].train_idx)
         batch = make_batches(sources, 16, seed=9, step=10 * n_train)
         assert batch.x_all.shape[0] == 48
+
+    def test_cached_shuffles_equal_fresh_ones_across_an_epoch_wrap(self):
+        warm = self.suite()
+        n_train = len(warm[0].train_idx)
+        b = 48
+        assert n_train % b != 0
+        wrap = n_train // b                     # this step's batch spans epochs 0 and 1
+        for step in (wrap - 1, wrap, wrap + 1, 2 * wrap + 2):
+            got = make_batches(warm, b, seed=4, step=step)
+            fresh = make_batches(self.suite(), b, seed=4, step=step)
+            assert np.array_equal(got.xs, fresh.xs) and np.array_equal(got.ys, fresh.ys)
+        for ds in warm:
+            assert list(ds.epoch_perms) == [(4, 1), (4, 2)]      # the two newest epochs
+            for (seed, epoch), perm in ds.epoch_perms.items():
+                oracle = np.random.default_rng([seed, 104729, ds.domain_id, epoch]).permutation(
+                    ds.train_idx)
+                assert np.array_equal(perm, oracle)
+                assert not perm.flags.writeable
+                with pytest.raises(ValueError):
+                    perm[0] = 0
+
+    def test_suites_never_share_cached_shuffles(self):
+        a = generate_suite(small_spec(seed=11))[:3]
+        b = generate_suite(small_spec(seed=12))[:3]
+        assert [ds.domain_id for ds in a] == [ds.domain_id for ds in b]
+        make_batches(a, 8, seed=0, step=0)
+        got = make_batches(b, 8, seed=0, step=0)
+        fresh = make_batches(generate_suite(small_spec(seed=12))[:3], 8, seed=0, step=0)
+        assert np.array_equal(got.xs, fresh.xs)
+        for da, db in zip(a, b):
+            assert da.epoch_perms is not db.epoch_perms
+            assert not np.array_equal(da.epoch_perms[(0, 0)], db.epoch_perms[(0, 0)])
 
     def test_oversized_batch_rejected(self):
         sources = self.suite()

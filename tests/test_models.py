@@ -38,6 +38,19 @@ class TestInit:
 
 
 class TestForward:
+    def test_forward_array_builds_no_tape(self, monkeypatch):
+        m = mm.init_mlp([4, 6, 3], seed=2)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        expected = mm.forward(m, ad.tensor(x)).data
+
+        def no_tape(self):
+            raise AssertionError("a tape was created")
+
+        monkeypatch.setattr(ad.GraphTape, "__init__", no_tape)
+        assert np.array_equal(mm.forward_array(m, x), expected)
+        with pytest.raises(AssertionError, match="a tape was created"):
+            mm.forward(m, ad.tensor(x))
+
     def test_zero_input_zero_logits(self):
         m = mm.init_mlp([4, 8, 3], seed=2)
         out = mm.forward_array(m, np.zeros((5, 4)))

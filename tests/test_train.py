@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,23 @@ class TestAggregation:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("kind", [tr.LFME, tr.AGG_DYN])
+    def test_step_graphs_leave_no_cycles(self, kind):
+        suite = small_suite()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=100, eval_every=50),
+                         held_out=suite[3])
+            gc.collect()
+            left = [o for o in gc.garbage if isinstance(o, (ad.Tensor, ad.GraphTape))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert left == []
+
     def test_erm_deterministic(self):
         suite = small_suite()
         cfg = quick_config()

@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -199,25 +198,12 @@ def held_out_ids(config: dict, suite) -> list[int]:
 # File emission
 
 
-def _atomic_write(path: Path, writer):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", newline="") as f:
-            writer(f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_csv(path: Path, header, rows):
     def writer(f):
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
-    _atomic_write(path, writer)
+    mm.atomic_write(path, writer)
 
 
 def fmt(x) -> str:
@@ -278,7 +264,6 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
                  for ev in run.evals if ev.rescale_f is not None]
         write_csv(out / "rescale.csv", ["step", "mean_f", "mean_fp"], rrows)
 
-    out.mkdir(parents=True, exist_ok=True)
     sel = run.selected
     if sel.target_params is not None:
         model = run.selected_target_model()
@@ -292,13 +277,67 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
     info = {"method": asdict(method), "seed": seed, "held_out": held,
             "sources": run.source_ids, "selected_step": run.selected_step,
             "ood_accuracy": run.ood_accuracy}
-    _atomic_write(out / "run.json", lambda f: json.dump(info, f, indent=2))
+    mm.atomic_write(out / "run.json", lambda f: json.dump(info, f, indent=2))
     return out
 
 
 def _job_wrapper(payload):
     config, method_cfg, seed, held = payload
     return str(execute_job(config, method_cfg, seed, held))
+
+
+# ---------------------------------------------------------------------------
+# Process pool
+
+
+def blas_thread_calls():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy has loaded, or None.
+
+    The library is found among this process's mapped files and opened with
+    ``RTLD_NOLOAD``, so a second copy is never loaded.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            paths = dict.fromkeys(line.split(None, 5)[5].strip() for line in f
+                                  if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+def _share_cpus(threads: int):
+    """Pool initializer: give this worker ``threads`` BLAS threads, if OpenBLAS is found."""
+    calls = blas_thread_calls()
+    if calls is not None:
+        calls[1](threads)
+
+
+def map_jobs(fn, payloads, jobs: int):
+    """Yield ``fn(payload)`` for each payload, in order.
+
+    ``jobs == 1`` runs in this process with its threading untouched. ``jobs > 1``
+    runs a pool of forked workers, each with ``max(1, cpus // jobs)`` BLAS
+    threads, so the workers together do not oversubscribe the CPUs.
+    """
+    if jobs == 1:
+        yield from map(fn, payloads)
+        return
+    threads = max(1, len(os.sched_getaffinity(0)) // jobs)
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
+                             initargs=(threads,)) as pool:
+        yield from pool.map(fn, payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +360,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     config = load_config(args)
     suite = build_suite(config, seed=config["seeds"][0])
     helds = held_out_ids(config, suite)
@@ -329,18 +370,13 @@ def cmd_train(args) -> int:
         build_train_config(config, seed)
     for m in config["methods"]:
         build_method(m)
-    _atomic_write(Path(config["output"]) / "config.json",
-                  lambda f: json.dump(config, f, indent=2))
+    mm.atomic_write(Path(config["output"]) / "config.json",
+                    lambda f: json.dump(config, f, indent=2))
 
     jobs = [(config, m, seed, h)
             for m in config["methods"] for seed in config["seeds"] for h in helds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for done in pool.map(_job_wrapper, jobs):
-                print(f"finished {done}")
-    else:
-        for payload in jobs:
-            print(f"finished {_job_wrapper(payload)}")
+    for done in map_jobs(_job_wrapper, jobs, args.jobs):
+        print(f"finished {done}")
     return 0
 
 
@@ -406,7 +442,7 @@ def cmd_compare(args) -> int:
         f.write("|" + "---|" * len(header) + "\n")
         for row in md_rows:
             f.write("| " + " | ".join(str(c) for c in row) + " |\n")
-    _atomic_write(out / "summary.md", write_md)
+    mm.atomic_write(out / "summary.md", write_md)
     print(f"wrote {out / 'summary.csv'} and {out / 'summary.md'}")
     return 0
 

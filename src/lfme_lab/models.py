@@ -8,8 +8,11 @@ M experts train as one stacked model whose parameters are [M, ...] arrays.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -141,11 +144,31 @@ class Checkpoint:
         return model_from_arrays(self.arrays)
 
 
+def atomic_write(path, writer, binary=False):
+    """Run ``writer(f)`` on a temp file beside ``path``, then rename it into place.
+
+    ``path`` is either absent or complete: a writer that raises leaves no file
+    and no temp file behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="")) as f:
+            writer(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(model: MlpModel, path, *, role="target", index=0, step=0, seed=0):
     """Little-endian binary: magic, version, role, index, step, seed, dims, params."""
     if role not in ROLE_CODES:
         raise ValueError(f"unknown role {role!r}")
-    with open(path, "wb") as f:
+
+    def writer(f):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IBIQQ", CHECKPOINT_VERSION, ROLE_CODES[role],
                             int(index), int(step), int(seed)))
@@ -154,6 +177,7 @@ def save_checkpoint(model: MlpModel, path, *, role="target", index=0, step=0, se
         for w, b in zip(model.weights, model.biases):
             f.write(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
+    atomic_write(path, writer, binary=True)
 
 
 def load_checkpoint(path) -> Checkpoint:

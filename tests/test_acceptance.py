@@ -7,6 +7,7 @@ default synthetic suite, built once per session.
 import csv
 import json
 import math
+import os
 import time
 import warnings
 
@@ -53,45 +54,49 @@ def _aggregate_accuracies(run, held):
     return out
 
 
+def _battery_seed(seed):
+    """One battery seed: six full runs on the default suite, reduced to trend inputs."""
+    suite = generate_suite(SuiteSpec(seed=seed))
+    sources, held = suite[:-1], suite[-1]
+    cfg = tr.TrainConfig(seed=seed)
+    runs = {"erm": tr.train_run(sources, tr.MethodSpec("erm"), cfg, held_out=held)}
+    for a in ALPHAS:
+        runs[f"lfme@{a}"] = tr.train_run(
+            sources, tr.MethodSpec("lfme", alpha_half=a), cfg, held_out=held)
+    runs["erm_plus"] = tr.train_run(
+        sources, tr.MethodSpec("erm_plus", alpha_half=1.0), cfg, held_out=held)
+    agg_run = tr.train_run(sources, tr.MethodSpec(tr.AGG_DYN), cfg, held_out=held)
+
+    lfme = runs["lfme@1.0"]
+    erm = runs["erm"]
+    warmup = cfg.steps // 10
+    f_points = [ev.rescale_f for ev in lfme.evals
+                if ev.rescale_f is not None and ev.step >= warmup]
+    hard_idx, easy_idx = an.split_hard_easy(lfme.expert_probe_losses)
+    lf_hard, lf_easy = _ratio_means(lfme, hard_idx, easy_idx)
+    erm_hard, erm_easy = _ratio_means(erm, hard_idx, easy_idx)
+    return {
+        "ood": {name: r.ood_accuracy for name, r in runs.items()},
+        "agg_ood": _aggregate_accuracies(agg_run, held),
+        "f_points": f_points,
+        "entropy": {"lfme": lfme.selected.val_entropy,
+                    "erm": erm.selected.val_entropy},
+        "logit_sum": lfme.selected.probe_logit_sum,
+        "in_domain": {
+            "erm": erm.selected.mean_val_acc,
+            "experts": float(np.mean(list(lfme.selected.expert_val_acc.values()))),
+            "lfme": lfme.selected.mean_val_acc,
+        },
+        "ratio": {"lfme_hard": lf_hard, "lfme_easy": lf_easy,
+                  "erm_hard": erm_hard, "erm_easy": erm_easy},
+    }
+
+
 @pytest.fixture(scope="session")
 def battery():
     t0 = time.time()
-    per_seed = []
-    for seed in range(N_SEEDS):
-        suite = generate_suite(SuiteSpec(seed=seed))
-        sources, held = suite[:-1], suite[-1]
-        cfg = tr.TrainConfig(seed=seed)
-        runs = {"erm": tr.train_run(sources, tr.MethodSpec("erm"), cfg, held_out=held)}
-        for a in ALPHAS:
-            runs[f"lfme@{a}"] = tr.train_run(
-                sources, tr.MethodSpec("lfme", alpha_half=a), cfg, held_out=held)
-        runs["erm_plus"] = tr.train_run(
-            sources, tr.MethodSpec("erm_plus", alpha_half=1.0), cfg, held_out=held)
-        agg_run = tr.train_run(sources, tr.MethodSpec(tr.AGG_DYN), cfg, held_out=held)
-
-        lfme = runs["lfme@1.0"]
-        erm = runs["erm"]
-        warmup = cfg.steps // 10
-        f_points = [ev.rescale_f for ev in lfme.evals
-                    if ev.rescale_f is not None and ev.step >= warmup]
-        hard_idx, easy_idx = an.split_hard_easy(lfme.expert_probe_losses)
-        lf_hard, lf_easy = _ratio_means(lfme, hard_idx, easy_idx)
-        erm_hard, erm_easy = _ratio_means(erm, hard_idx, easy_idx)
-        per_seed.append({
-            "ood": {name: r.ood_accuracy for name, r in runs.items()},
-            "agg_ood": _aggregate_accuracies(agg_run, held),
-            "f_points": f_points,
-            "entropy": {"lfme": lfme.selected.val_entropy,
-                        "erm": erm.selected.val_entropy},
-            "logit_sum": lfme.selected.probe_logit_sum,
-            "in_domain": {
-                "erm": erm.selected.mean_val_acc,
-                "experts": float(np.mean(list(lfme.selected.expert_val_acc.values()))),
-                "lfme": lfme.selected.mean_val_acc,
-            },
-            "ratio": {"lfme_hard": lf_hard, "lfme_easy": lf_easy,
-                      "erm_hard": erm_hard, "erm_easy": erm_easy},
-        })
+    per_seed = list(cli.map_jobs(_battery_seed, range(N_SEEDS),
+                                 len(os.sched_getaffinity(0))))
     return {"seeds": per_seed, "elapsed": time.time() - t0}
 
 

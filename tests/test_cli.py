@@ -100,14 +100,60 @@ class TestTrain:
         assert not (tmp_path / "out" / "erm" / "seed0").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        cfg, config = write_config(tmp_path, seeds=[0, 1])
-        cli.main(["train", "-c", str(cfg)])
-        serial = (tmp_path / "out" / "erm" / "seed1" / "heldout2" / "metrics.csv").read_bytes()
-        cfg2, _ = write_config(tmp_path, seeds=[0, 1],
+        # Serial runs at this process's BLAS thread count; --jobs 2 at cpus // 2 per worker.
+        methods = [{"kind": "erm"}, {"kind": "lfme"}]
+        cfg, _ = write_config(tmp_path, seeds=[0, 1], methods=methods)
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        cfg2, _ = write_config(tmp_path, seeds=[0, 1], methods=methods,
                                output=str(tmp_path / "out2"))
-        cli.main(["train", "-c", str(cfg2), "--jobs", "2"])
-        par = (tmp_path / "out2" / "erm" / "seed1" / "heldout2" / "metrics.csv").read_bytes()
-        assert serial == par
+        assert cli.main(["train", "-c", str(cfg2), "--jobs", "2"]) == 0
+
+        def run_files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.glob("*/seed*/heldout*/*"))}
+        serial, par = run_files(tmp_path / "out"), run_files(tmp_path / "out2")
+        names = {p.name for p in serial}
+        assert {"metrics.csv", "experts.csv", "rescale.csv", "target.ckpt",
+                "expert0.ckpt", "expert1.ckpt", "run.json"} <= names
+        assert len(serial) == 2 * (3 + 7)     # 2 seeds x (erm 3 files + lfme 7 files)
+        assert serial.keys() == par.keys()
+        for rel in serial:
+            assert serial[rel] == par[rel], rel
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_blas_threads(self, tmp_path, monkeypatch, jobs):
+        calls = cli.blas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy has no OpenBLAS loaded")
+        get_threads = calls[0]
+        before = get_threads()
+        counts = tmp_path / "counts"
+        counts.mkdir()
+        run_method = cli.run_method
+
+        def recording_run_method(sources, method, train_config, held_out=None):
+            # Forked workers inherit this patch; the count comes back by file.
+            (counts / f"{os.getpid()}-{held_out.domain_id}").write_text(str(get_threads()))
+            return run_method(sources, method, train_config, held_out=held_out)
+
+        monkeypatch.setattr(cli, "run_method", recording_run_method)
+        cfg, _ = write_config(tmp_path, held_out="all", train={"steps": 10, "eval_every": 5})
+        assert cli.main(["train", "-c", str(cfg), "--jobs", str(jobs)]) == 0
+        seen = [int(p.read_text()) for p in counts.iterdir()]
+        assert len(seen) == 3
+        if jobs == 1:
+            assert seen == [before] * 3
+        else:
+            assert seen == [max(1, len(os.sched_getaffinity(0)) // jobs)] * 3
+        assert get_threads() == before
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--jobs" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg, _ = write_config(tmp_path, methods=[{"kind": "nonsense"}])
@@ -157,6 +203,24 @@ class TestTrain:
             cli.execute_job(config, {"kind": "erm"}, 0, 2)
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
+
+    def test_failed_checkpoint_write_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        _, config = write_config(tmp_path)
+        contiguous = np.ascontiguousarray
+        calls = []
+
+        def convert_then_fail(a, *args, **kw):
+            if kw.get("dtype") == "<f8":
+                calls.append(1)
+                if len(calls) == 2:      # the header and the first weight are written
+                    raise OSError("disk full")
+            return contiguous(a, *args, **kw)
+
+        monkeypatch.setattr(np, "ascontiguousarray", convert_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            cli.execute_job(config, {"kind": "erm"}, 0, 2)
+        rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
+        assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv"]
 
     def test_checkpoint_round_trip_on_probe(self, tmp_path):
         cfg, config = write_config(tmp_path)

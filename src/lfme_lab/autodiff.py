@@ -224,9 +224,12 @@ def softmax(z: Tensor) -> Tensor:
     return _result(q, (z,), backward)
 
 
-def _check_one_hot(y: np.ndarray, like: np.ndarray):
+def _check_one_hot(y: np.ndarray, like: np.ndarray, validate: bool):
+    """Shapes always; with ``validate``, that every row of ``y`` is one-hot."""
     if y.shape != like.shape:
         raise ShapeError(f"label shape {y.shape} does not match {like.shape}")
+    if not validate:
+        return
     rows = y.reshape(-1, y.shape[-1])
     if not (np.all((rows == 0.0) | (rows == 1.0)) and np.all(rows.sum(axis=-1) == 1.0)):
         raise ValueError("labels must be exactly one-hot")
@@ -236,14 +239,15 @@ def _batch_size(t: Tensor) -> int:
     return t.data.shape[0] if t.data.ndim >= 2 else 1
 
 
-def cross_entropy(q: Tensor, y) -> Tensor:
+def cross_entropy(q: Tensor, y, _validate=True) -> Tensor:
     """Batch-mean cross entropy against one-hot labels.
 
     ``y`` is a constant one-hot array; the log argument is clamped at
-    LOG_FLOOR so a zero probability cannot produce -inf.
+    LOG_FLOOR so a zero probability cannot produce -inf. ``_validate=False``
+    skips the one-hot check, for labels that are one-hot by construction.
     """
     y = np.asarray(y, dtype=np.float64)
-    _check_one_hot(y, q.data)
+    _check_one_hot(y, q.data, _validate)
     return soft_cross_entropy(q, y, _validate=False)
 
 
@@ -267,11 +271,11 @@ def soft_cross_entropy(q: Tensor, targets, _validate=True) -> Tensor:
     return _result(out_data, (q,), backward)
 
 
-def cross_entropy_rows(q: Tensor, y) -> Tensor:
+def cross_entropy_rows(q: Tensor, y, _validate=True) -> Tensor:
     """Per-sample cross entropy over the last axis: [..., B, K] probabilities and
-    one-hot labels -> [..., B]."""
+    one-hot labels -> [..., B]. ``_validate`` as in ``cross_entropy``."""
     y = np.asarray(y, dtype=np.float64)
-    _check_one_hot(y, q.data)
+    _check_one_hot(y, q.data, _validate)
     clamped = np.maximum(q.data, LOG_FLOOR)
     out_data = -(y * np.log(clamped)).sum(axis=-1)
 

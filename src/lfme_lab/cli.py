@@ -23,7 +23,8 @@ import numpy as np
 from . import models as mm
 from .analysis import report_from_run
 from .domains import DataError, SuiteSpec, generate_suite, load_csv_suite
-from .train import ConfigError, MethodSpec, TrainConfig, run_method, softmax_np
+from .train import (ConfigError, MethodSpec, TrainConfig, blas_thread_calls, run_method,
+                    softmax_np)
 
 DEFAULT_ALPHA_GRID = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]
 
@@ -121,8 +122,9 @@ def _check_sections(config: dict):
 def validate_config(config: dict):
     _check_sections(config)
     seeds, held_out = config["seeds"], config["held_out"]
-    if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
-        raise CliError(f"config.seeds must be a nonempty list of integers, got {seeds!r}")
+    if not isinstance(seeds, list) or not seeds or not all(
+            type(s) is int and s >= 0 for s in seeds):
+        raise CliError(f"config.seeds must be a nonempty list of integers >= 0, got {seeds!r}")
     if held_out not in ("all", "last") and not (
             isinstance(held_out, list) and all(type(h) is int for h in held_out)):
         raise CliError('config.held_out must be "all", "last" or a list of domain ids, '
@@ -146,9 +148,14 @@ def validate_config(config: dict):
 def build_suite(config: dict, seed: int | None = None):
     suite_cfg = dict(config["suite"])
     if "csv" in suite_cfg:
-        return load_csv_suite(suite_cfg["csv"],
-                              suite_cfg.get("domain_column", "domain"),
-                              suite_cfg.get("label_column", "label"))
+        path = suite_cfg["csv"]
+        if not isinstance(path, str):
+            raise CliError(f"config.suite.csv must be a path string, got {path!r}")
+        try:
+            return load_csv_suite(path, suite_cfg.get("domain_column", "domain"),
+                                  suite_cfg.get("label_column", "label"))
+        except OSError as e:
+            raise CliError(f"config.suite.csv: {e}") from None
     if seed is not None:
         suite_cfg["seed"] = seed
     try:
@@ -290,33 +297,6 @@ def _job_wrapper(payload):
 # Process pool
 
 
-def blas_thread_calls():
-    """``(get, set)`` thread-count functions of the OpenBLAS numpy has loaded, or None.
-
-    The library is found among this process's mapped files and opened with
-    ``RTLD_NOLOAD``, so a second copy is never loaded.
-    """
-    import ctypes
-    try:
-        with open("/proc/self/maps") as f:
-            paths = dict.fromkeys(line.split(None, 5)[5].strip() for line in f
-                                  if "openblas" in line.rsplit("/", 1)[-1])
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                return get, set_
-    return None
-
-
 def _share_cpus(threads: int):
     """Pool initializer: give this worker ``threads`` BLAS threads, if OpenBLAS is found."""
     calls = blas_thread_calls()
@@ -327,9 +307,10 @@ def _share_cpus(threads: int):
 def map_jobs(fn, payloads, jobs: int):
     """Yield ``fn(payload)`` for each payload, in order.
 
-    ``jobs == 1`` runs in this process with its threading untouched. ``jobs > 1``
+    ``jobs == 1`` runs in this process at its BLAS thread count. ``jobs > 1``
     runs a pool of forked workers, each with ``max(1, cpus // jobs)`` BLAS
-    threads, so the workers together do not oversubscribe the CPUs.
+    threads, so the workers together do not oversubscribe the CPUs. Either
+    way, ``train_run`` drops a small run to one thread (``SERIAL_BLAS_MADDS``).
     """
     if jobs == 1:
         yield from map(fn, payloads)

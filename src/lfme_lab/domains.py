@@ -50,6 +50,8 @@ class SuiteSpec:
         require_finite(self, ("n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
                               "seed"), numbers.Integral)
         require_finite(self, ("spurious_strength", "noise"))
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.n_domains < 2:
             raise DataError("need at least 2 source domains")
         if self.n_classes < 2:

@@ -8,7 +8,10 @@ a domain-weighting network, all updated by a single shared optimizer.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,11 @@ EXPERT_KINDS = frozenset({LFME, KD_ZZ, KD_QZ, KD_QQ, KD_CE, ERMP_W_EXPT,
 AGG_KINDS = frozenset({AGG_AVG, AGG_MS, AGG_CONF, AGG_DYN})
 
 DEFAULT_HIDDEN = (64, 64)
+
+# A run whose step's largest matmul has fewer multiply-adds than this trains on one
+# BLAS thread: below it a second thread costs more in hand-off and spin-waiting than
+# it saves (README "CLI" has the 1-vs-2-thread sweep behind the value).
+SERIAL_BLAS_MADDS = 1 << 20
 
 
 class ConfigError(Exception):
@@ -95,6 +103,9 @@ class TrainConfig:
                               "probe_per_domain"), numbers.Integral, ConfigError)
         if self.lr < 0 or self.steps <= 0 or self.batch_per_domain <= 0 or self.eval_every <= 0:
             raise ConfigError("lr must be >= 0 and steps/batch/eval_every positive")
+        if self.seed < 0 or self.probe_per_domain <= 0:
+            raise ConfigError(f"seed must be >= 0 and probe_per_domain positive, got "
+                              f"{self.seed} and {self.probe_per_domain}")
         if not isinstance(self.hidden_dims, (tuple, list)) or not all(
                 isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
                 for d in self.hidden_dims):
@@ -233,30 +244,31 @@ GUIDANCE_PAIRS = {
 }
 
 
-def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict) -> ad.Tensor:
+def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) -> ad.Tensor:
     """The target model's loss on logits ``z``; one softmax of ``z`` feeds every term.
 
     ``guides`` holds constants: ``y`` (one-hot labels) and, where the kind uses them,
     ``q_expert``, ``z_expert``, ``q_teacher``, ``expert_losses`` and ``kd_ce_weight``.
+    ``_validate=False`` skips the one-hot check of ``y``, for labels ``one_hot`` built.
     """
     kind, alpha_half, y = method.kind, method.alpha_half, guides["y"]
     q = ad.softmax(z)
     if kind == LS and method.ls_epsilon != 0.0:
         smoothed = (1.0 - method.ls_epsilon) * y + method.ls_epsilon / y.shape[-1]
-        return ad.soft_cross_entropy(q, smoothed)
+        return ad.soft_cross_entropy(q, smoothed, _validate)
     if kind == KD_CE:
         weight = guides["kd_ce_weight"]
-        cla = ad.scale(ad.cross_entropy(q, y), 1.0 - weight)
+        cla = ad.scale(ad.cross_entropy(q, y, _validate), 1.0 - weight)
         if weight == 0.0:
             return cla
         return ad.add(cla, ad.scale(ad.soft_cross_entropy(q, guides["q_expert"]), weight))
     if kind in (ERMP_W_EXPT, ERMP_W_SELF) and method.hard_weight_beta != 0.0:
-        v = ad.cross_entropy_rows(q, y)
+        v = ad.cross_entropy_rows(q, y, _validate)
         if alpha_half != 0.0:
             v = ad.add(v, ad.scale(ad.sq_norm_rows(z, y), alpha_half))
         ref = guides["expert_losses"] if kind == ERMP_W_EXPT else v.data
         return ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
-    cla = ad.cross_entropy(q, y)
+    cla = ad.cross_entropy(q, y, _validate)
     pair = GUIDANCE_PAIRS.get(kind)
     if pair is None or alpha_half == 0.0:
         return cla
@@ -428,6 +440,69 @@ def rescale_factors(z: np.ndarray, q: np.ndarray, q_expert: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def blas_thread_calls():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy has loaded, or None.
+
+    The library is found among this process's mapped files and opened with
+    ``RTLD_NOLOAD``, so a second copy is never loaded. The lookup runs once per
+    process; forked workers inherit its result.
+    """
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            paths = dict.fromkeys(line.split(None, 5)[5].strip() for line in f
+                                  if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block with ``n`` OpenBLAS threads, then restore the caller's count.
+
+    Does nothing when no OpenBLAS is found.
+    """
+    calls = blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def step_matmul_madds(n_sources: int, config: TrainConfig, dims) -> int:
+    """Multiply-adds of a step's largest matmul: the pooled batch through the widest layer.
+
+    The target sees all ``n_sources * batch_per_domain`` rows at once; the expert
+    stack and the backward products have the same count.
+    """
+    return n_sources * config.batch_per_domain * max(a * b for a, b in zip(dims, dims[1:]))
+
+
+# ---------------------------------------------------------------------------
 # The training loop
 
 
@@ -440,15 +515,25 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     network are updated by one shared optimizer, every step, from one joint
     scalar loss. Expert probabilities entering any guidance term are
     detached first.
+
+    A run whose step matmuls are all below ``SERIAL_BLAS_MADDS`` runs, evaluation
+    included, on one BLAS thread; a larger one keeps the caller's count. The
+    thread count does not change any result.
     """
     method.validate()
     config.validate()
     if len(sources) < 2:
         raise ConfigError("need at least 2 source domains")
-    k = sources[0].n_classes
-    d = sources[0].features.shape[1]
+    dims = [sources[0].features.shape[1], *config.hidden_dims, sources[0].n_classes]
+    if step_matmul_madds(len(sources), config, dims) < SERIAL_BLAS_MADDS:
+        with blas_threads(1):
+            return _train(sources, method, config, held_out, teacher, dims)
+    return _train(sources, method, config, held_out, teacher, dims)
+
+
+def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
+    d, k = dims[0], dims[-1]
     n_src = len(sources)
-    dims = [d, *config.hidden_dims, k]
 
     needs_experts = method.kind in EXPERT_KINDS
     needs_target = method.kind not in AGG_KINDS
@@ -493,7 +578,8 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
         if stacked is not None:
             z_e = mm.forward(stacked, ad.tensor(batch.xs))
             q_e = ad.softmax(z_e)
-            rows_e = ad.cross_entropy_rows(q_e, y_all_1h.reshape(*batch.ys.shape, k))
+            rows_e = ad.cross_entropy_rows(q_e, y_all_1h.reshape(*batch.ys.shape, k),
+                                           _validate=False)
             terms.append(loss_expert(rows_e))
             q_expert_rows = q_e.data.reshape(-1, k)
             z_expert_rows = z_e.data.reshape(-1, k)
@@ -501,7 +587,7 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 
         if weighting is not None:
             zw = mm.forward(weighting, ad.tensor(batch.x_all))
-            terms.append(ad.cross_entropy(ad.softmax(zw), dom_1h))
+            terms.append(ad.cross_entropy(ad.softmax(zw), dom_1h, _validate=False))
 
         target_loss_val = float("nan")
         if target is not None:
@@ -511,7 +597,7 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
                       "kd_ce_weight": kd_weight(method.alpha_half, step, ramp)}
             if teacher is not None:
                 guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
-            t_loss = target_loss(method, z, guides)
+            t_loss = target_loss(method, z, guides, _validate=False)
             terms.append(t_loss)
             target_loss_val = t_loss.item()
 

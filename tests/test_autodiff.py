@@ -161,6 +161,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             ad.cross_entropy(q, np.array([[1.0, 1.0]]))
 
+    @pytest.mark.parametrize("op", [ad.cross_entropy, ad.cross_entropy_rows])
+    def test_labels_checked_unless_skipped(self, op):
+        q = ad.tensor([[0.5, 0.5], [0.25, 0.75]])
+        y = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="one-hot"):
+            op(q, y)
+        op(q, y, _validate=False)
+        with pytest.raises(ad.ShapeError):
+            op(q, y[:1], _validate=False)
+
     def test_log_floor(self):
         q = ad.tensor([[0.0, 1.0]])
         y = np.array([[1.0, 0.0]])

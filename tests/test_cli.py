@@ -100,7 +100,8 @@ class TestTrain:
         assert not (tmp_path / "out" / "erm" / "seed0").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        # Serial runs at this process's BLAS thread count; --jobs 2 at cpus // 2 per worker.
+        # Both sides train on one BLAS thread: these runs are below train.SERIAL_BLAS_MADDS.
+        # test_train.TestBlasThreads compares 1 against 2 threads.
         methods = [{"kind": "erm"}, {"kind": "lfme"}]
         cfg, _ = write_config(tmp_path, seeds=[0, 1], methods=methods)
         assert cli.main(["train", "-c", str(cfg)]) == 0
@@ -187,6 +188,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("csv_path", ["5", "\"missing.csv\""])
+    def test_bad_csv_path_exit_code(self, tmp_path, capsys, csv_path):
+        # An integer path would otherwise be opened as a file descriptor.
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--set", f"suite.csv={csv_path}"]) == 1
+        assert capsys.readouterr().err.startswith("error: config.suite.csv")
 
     def test_failed_run_json_write_leaves_no_run_json(self, tmp_path, monkeypatch):
         _, config = write_config(tmp_path)

@@ -1,0 +1,58 @@
+"""Property test: a JSON value under any known config key makes ``lfme train`` run
+(exit 0) or report a configuration error (exit 1), never fail with exit 2."""
+
+import json
+import tempfile
+
+import pytest
+
+from lfme_lab import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+# Every key a config may set, except suite.csv and its column names (CSV ingestion).
+KEYS = (["suite", "train", "methods", "seeds", "held_out", "output", "alpha_grid"]
+        + [f"suite.{k}" for k in sorted(cli.SUITE_KEYS)]
+        + [f"train.{k}" for k in sorted(cli.TRAIN_KEYS)]
+        + [f"methods[0].{k}" for k in sorted(cli.METHOD_KEYS)])
+
+# Small integers keep a generated suite or network small enough to train in milliseconds.
+# Integers and integer lists are drawn as often as all other JSON values together, since
+# most keys take one of them.
+INTS = st.integers(-3, 12)
+SCALARS = st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=4)
+JSON_VALUES = INTS | st.lists(INTS, max_size=3) | st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+# A small base run, so each example trains one step in a few milliseconds.
+BASE = ["suite.n_per_domain=30", "suite.n_domains=2", 'held_out="last"',
+        "train.batch_per_domain=8", "train.hidden_dims=[4]", "train.probe_per_domain=5"]
+
+
+def set_arg(key: str, value) -> str:
+    if key.startswith("methods[0]."):
+        method = {"kind": "lfme", key.split(".", 1)[1]: value}
+        return "methods=" + json.dumps([method])
+    return f"{key}={json.dumps(value)}"
+
+
+def train_exit_code(*sets: str) -> int:
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["train", "--steps", "1", "--output", out]
+        for item in [*BASE, *sets]:
+            argv += ["--set", item]
+        return cli.main(argv)
+
+
+def test_base_run_trains():
+    assert train_exit_code() == 0
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(key=st.sampled_from(KEYS), value=JSON_VALUES)
+@example(key="seeds", value=[0, -1])                 # once a raw ValueError from SeedSequence
+@example(key="train.probe_per_domain", value=-1)     # once a raw ValueError from rng.choice
+def test_any_value_under_a_known_key_is_a_run_or_a_config_error(key, value):
+    assert train_exit_code(set_arg(key, value)) in (0, 1)

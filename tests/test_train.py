@@ -8,7 +8,7 @@ from lfme_lab import analysis as an
 from lfme_lab import autodiff as ad
 from lfme_lab import models as mm
 from lfme_lab import train as tr
-from lfme_lab.domains import SuiteSpec, generate_suite, one_hot
+from lfme_lab.domains import SuiteSpec, generate_suite, make_batches, one_hot
 
 
 def small_suite(seed=21, **kw):
@@ -677,3 +677,74 @@ class TestTrainLoop:
         run = tr.run_method(suite[:3], tr.MethodSpec(tr.LFME_GUID, alpha_half=1.0), cfg,
                             held_out=suite[3])
         assert run.ood_accuracy is not None
+
+
+@pytest.fixture
+def blas_get():
+    calls = tr.blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no OpenBLAS loaded")
+    return calls[0]
+
+
+class TestBlasThreads:
+    # hidden (128, 128) at 3 x 32 rows: 1.57M multiply-adds, which OpenBLAS splits.
+    WIDE = dict(hidden_dims=(128, 128), batch_per_domain=32)
+
+    def threads_seen(self, monkeypatch, get, config, fail_at=None):
+        """The BLAS thread count at each step of an erm run, read inside the loop."""
+        seen = []
+
+        def recording_make_batches(sources, batch_per_domain, seed, step):
+            if step == fail_at:
+                raise RuntimeError("stop mid-run")
+            seen.append(get())
+            return make_batches(sources, batch_per_domain, seed, step)
+
+        monkeypatch.setattr(tr, "make_batches", recording_make_batches)
+        suite = small_suite()
+        tr.train_run(suite[:3], tr.MethodSpec(tr.ERM), config, held_out=suite[3])
+        return seen
+
+    def test_madds_of_default_and_wide_steps(self):
+        assert tr.step_matmul_madds(3, tr.TrainConfig(), [12, 64, 64, 5]) == 393_216
+        assert tr.step_matmul_madds(3, tr.TrainConfig(**self.WIDE), [12, 128, 128, 5]) \
+            == 1_572_864
+        assert 393_216 < tr.SERIAL_BLAS_MADDS <= 1_572_864
+
+    def test_default_run_steps_on_one_thread(self, monkeypatch, blas_get):
+        with tr.blas_threads(2):
+            seen = self.threads_seen(monkeypatch, blas_get, tr.TrainConfig(steps=4, eval_every=2))
+            assert seen == [1] * 4
+            assert blas_get() == 2
+
+    def test_wide_run_keeps_callers_count(self, monkeypatch, blas_get):
+        with tr.blas_threads(2):
+            config = tr.TrainConfig(steps=4, eval_every=2, **self.WIDE)
+            assert self.threads_seen(monkeypatch, blas_get, config) == [2] * 4
+            assert blas_get() == 2
+
+    def test_callers_count_restored_after_a_raise(self, monkeypatch, blas_get):
+        with tr.blas_threads(2):
+            with pytest.raises(RuntimeError, match="mid-run"):
+                self.threads_seen(monkeypatch, blas_get, tr.TrainConfig(steps=4), fail_at=2)
+            assert blas_get() == 2
+
+    @pytest.mark.parametrize("kind", [tr.ERM, tr.LFME])
+    def test_results_do_not_depend_on_thread_count(self, blas_get, kind):
+        suite = small_suite()
+        config = quick_config(steps=60, eval_every=30, **self.WIDE)
+        runs = []
+        for n in (1, 2):
+            with tr.blas_threads(n):
+                assert blas_get() == n
+                runs.append(tr.train_run(suite[:3], tr.MethodSpec(kind), config,
+                                         held_out=suite[3]))
+        a, b = runs
+        assert np.array_equal(a.loss_trace, b.loss_trace)
+        assert a.ood_accuracy == b.ood_accuracy
+        for ea, eb in zip(a.evals, b.evals):
+            for pa, pb in zip(ea.target_params, eb.target_params):
+                assert np.array_equal(pa, pb)
+            for xa, xb in zip(ea.expert_params or [], eb.expert_params or []):
+                assert all(np.array_equal(pa, pb) for pa, pb in zip(xa, xb))

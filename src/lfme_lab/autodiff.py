@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 Supports exactly what MLP classification losses and logit-regression guidance
-terms need: the affine layer (on 2-D operands or on [M, ...] stacks of M
-same-shape models), relu, softmax, cross entropy (hard and soft
-targets), squared-error losses, per-sample loss rows, and detach. A fresh
+terms need: a whole ReLU MLP as one op (on 2-D operands or on [M, ...] stacks
+of M same-shape models), softmax, cross entropy (hard and soft targets),
+squared-error losses, per-sample loss rows, and detach. A fresh
 graph is built on every forward pass. Each op result that requires grad joins
 its parents' tape, the graph's op results in creation order (a Wengert list),
 which is already a topological order; ``backward`` walks it once in reverse
@@ -123,26 +123,39 @@ def _result(data, parents, backward_fn):
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b``: x[B,d], w[d,h], b[h], or stacks x[M,B,d], w[M,d,h], b[M,h]."""
-    xd, wd, bd = x.data, w.data, b.data
-    if not (xd.ndim == wd.ndim == bd.ndim + 1 and xd.ndim in (2, 3)
-            and xd.shape[:-2] == wd.shape[:-2] == bd.shape[:-1]
-            and xd.shape[-1] == wd.shape[-2] and wd.shape[-1] == bd.shape[-1]):
-        raise ShapeError(f"linear shapes incompatible: {xd.shape} x {wd.shape} + {bd.shape}")
-    out_data = xd @ wd
-    out_data += bd if bd.ndim == 1 else bd[:, None]
+def mlp(x: Tensor, weights, biases) -> Tensor:
+    """A ReLU MLP with identity output as one op. Each layer is x[B,d] @ w[d,h] + b[h], or
+    the same on stacks x[M,B,d], w[M,d,h], b[M,h]. The ReLU runs in place, so backward keeps
+    only each layer's input: x and the post-ReLU activations, signed like the pre-ReLU ones."""
+    h, saved = x.data, []
+    for i, (w, b) in enumerate(zip(weights, biases, strict=True)):
+        wd, bd = w.data, b.data
+        if not (h.ndim == wd.ndim == bd.ndim + 1 and h.ndim in (2, 3)
+                and h.shape[:-2] == wd.shape[:-2] == bd.shape[:-1]
+                and h.shape[-1] == wd.shape[-2] and wd.shape[-1] == bd.shape[-1]):
+            raise ShapeError(f"mlp layer {i} shapes incompatible: "
+                             f"{h.shape} x {wd.shape} + {bd.shape}")
+        saved.append((h, wd))
+        h = h @ wd
+        h += bd if bd.ndim == 1 else bd[:, None]
+        if i < len(weights) - 1:
+            np.maximum(h, 0.0, out=h)
 
     def backward(out):
         g = out.grad
-        if x.requires_grad:
-            x.accumulate_grad(g @ wd.mT)
-        if w.requires_grad:
-            w.accumulate_grad(xd.mT @ g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=-2))
+        for i in reversed(range(len(saved))):
+            (h_in, wd), w, b = saved[i], weights[i], biases[i]
+            if w.requires_grad:
+                w.accumulate_grad(h_in.mT @ g)
+            if b.requires_grad:
+                b.accumulate_grad(g.sum(axis=-2))
+            if i > 0:
+                g = g @ wd.mT
+                g *= h_in > 0.0
+            elif x.requires_grad:
+                x.accumulate_grad(g @ wd.mT)
 
-    return _result(out_data, (x, w, b), backward)
+    return _result(h, (x, *weights, *biases), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -166,16 +179,6 @@ def scale(t: Tensor, c: float) -> Tensor:
     def backward(out):
         if t.requires_grad:
             t.accumulate_grad(out.grad * c)
-
-    return _result(out_data, (t,), backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    out_data = np.maximum(t.data, 0.0)
-
-    def backward(out):
-        if t.requires_grad:
-            t.accumulate_grad(out.grad * (t.data > 0.0))
 
     return _result(out_data, (t,), backward)
 

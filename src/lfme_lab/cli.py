@@ -56,6 +56,8 @@ def load_config(args) -> dict:
             raise CliError(f"config file not found: {args.config}") from None
         except json.JSONDecodeError as e:
             raise CliError(f"config is not valid JSON: {e}") from None
+        if not isinstance(config, dict):
+            raise CliError(f"config must be a JSON object, got {config!r}")
     config.setdefault("suite", {})
     config.setdefault("train", {})
     config.setdefault("methods", [{"kind": "erm"}])
@@ -86,19 +88,17 @@ def load_config(args) -> dict:
     if getattr(args, "alpha_half", None) is not None:
         for m in config["methods"]:
             m["alpha_half"] = args.alpha_half
-    if getattr(args, "seeds", None):
-        config["seeds"] = [int(s) for s in args.seeds.split(",")]
     if getattr(args, "steps", None) is not None:
         config["train"]["steps"] = args.steps
     if getattr(args, "output", None):
         config["output"] = args.output
-
-    env_seed = os.environ.get("LFME_SEED")
-    if env_seed:
-        try:
-            config["seeds"] = [int(s) for s in env_seed.split(",")]
-        except ValueError:
-            raise CliError(f"LFME_SEED must be comma-separated integers, got {env_seed!r}") from None
+    for source, raw in (("--seeds", getattr(args, "seeds", None)),
+                        ("LFME_SEED", os.environ.get("LFME_SEED"))):
+        if raw:
+            try:
+                config["seeds"] = [int(s) for s in raw.split(",")]
+            except ValueError:
+                raise CliError(f"{source} must be comma-separated integers, got {raw!r}") from None
 
     validate_config(config)
     return config
@@ -440,7 +440,7 @@ def cmd_analyze(args) -> int:
     analysis_dir = root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
-    entropy_rows = []
+    entropy_rows, suites = [], {}
     for run_json in sorted(root.glob("*/seed*/heldout*/run.json")):
         rdir = run_json.parent
         with open(run_json) as f:
@@ -466,7 +466,9 @@ def cmd_analyze(args) -> int:
         ckpt = rdir / "target.ckpt"
         if ckpt.exists() and config is not None and "csv" not in config.get("suite", {}):
             model = mm.load_checkpoint(ckpt).to_model()
-            suite = build_suite(config, seed=info["seed"])
+            if info["seed"] not in suites:
+                suites[info["seed"]] = build_suite(config, seed=info["seed"])
+            suite = suites[info["seed"]]
             sources = [ds for ds in suite if ds.domain_id != info["held_out"]]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
             z = mm.forward_array(model, x)

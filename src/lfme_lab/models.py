@@ -2,8 +2,9 @@
 
 One architecture serves the per-domain experts, the deployed target model,
 and the domain-weighting network: ReLU hidden layers, identity output, so
-the forward pass yields raw logits and losses apply softmax themselves. The
-M experts train as one stacked model whose parameters are [M, ...] arrays.
+the forward pass yields raw logits and losses apply softmax themselves. A
+forward pass is one ``autodiff.mlp`` op, so a model adds one node to a graph.
+The M experts train as one stacked model whose parameters are [M, ...] arrays.
 """
 
 from __future__ import annotations
@@ -110,13 +111,7 @@ def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
         raise ad.ShapeError(
             f"input shape {x.data.shape} does not match feature width {model.layer_dims[0]}"
         )
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = ad.linear(h, w, b)
-        if i < last:
-            h = ad.relu(h)
-    return h
+    return ad.mlp(x, model.weights, model.biases)
 
 
 def forward_array(model: MlpModel, x: np.ndarray) -> np.ndarray:

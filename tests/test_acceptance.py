@@ -172,8 +172,8 @@ class TestFiniteDifference:
 
             def run(w1v):
                 t = ad.Tensor(w1v, requires_grad=True)
-                h1 = ad.relu(ad.linear(ad.Tensor(x), t, ad.Tensor(np.zeros(h))))
-                z = ad.linear(h1, ad.Tensor(w2), ad.Tensor(bias))
+                z = ad.mlp(ad.Tensor(x), [t, ad.Tensor(w2)],
+                           [ad.Tensor(np.zeros(h)), ad.Tensor(bias)])
                 loss = ad.add(ad.cross_entropy(ad.softmax(z), y1h),
                               ad.scale(ad.mse(z, ad.tensor(q_ref)), 0.7))
                 return t, loss

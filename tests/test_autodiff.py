@@ -38,30 +38,35 @@ def zero_bias(n):
     return ad.tensor(np.zeros(n))
 
 
+def affine(x, w, b):
+    """A one-layer ``ad.mlp``: the affine map ``x @ w + b``."""
+    return ad.mlp(x, [w], [b])
+
+
 class TestMatmul:
-    """The product part of ``ad.linear``, with a zero bias."""
+    """The product part of a one-layer ``ad.mlp``, with a zero bias."""
 
     def test_identity(self):
         a = ad.tensor(np.eye(2))
         b = ad.tensor([[2.0, 3.0], [4.0, 5.0]])
-        assert np.array_equal(ad.linear(a, b, zero_bias(2)).data, b.data)
+        assert np.array_equal(affine(a, b, zero_bias(2)).data, b.data)
 
     def test_hand_expansion(self):
-        out = ad.linear(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]), zero_bias(1))
+        out = affine(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]), zero_bias(1))
         assert out.data.tolist() == [[11.0]]
 
     def test_zero_annihilates(self):
-        out = ad.linear(ad.tensor([[0.0]]), ad.tensor([[123.0, -4.0]]), zero_bias(2))
+        out = affine(ad.tensor([[0.0]]), ad.tensor([[123.0, -4.0]]), zero_bias(2))
         assert np.all(out.data == 0.0)
 
     def test_shape_mismatch_names_both(self):
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            ad.linear(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 2))), zero_bias(2))
+            affine(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 2))), zero_bias(2))
 
     def test_backward(self):
         a = ad.parameter(np.arange(6.0).reshape(2, 3))
         b = ad.parameter(np.arange(12.0).reshape(3, 4))
-        loss = ad.sum_all(ad.linear(a, b, zero_bias(4)))
+        loss = ad.sum_all(affine(a, b, zero_bias(4)))
         ad.backward(loss)
         g = np.ones((2, 4))
         assert np.allclose(a.grad, g @ b.data.T)
@@ -70,7 +75,7 @@ class TestMatmul:
 
 class TestLinear:
     def test_bias_added_to_every_row(self):
-        out = ad.linear(ad.tensor(np.zeros((3, 2))), ad.tensor(np.ones((2, 2))),
+        out = affine(ad.tensor(np.zeros((3, 2))), ad.tensor(np.ones((2, 2))),
                         ad.tensor([1.5, -2.0]))
         assert out.data.tolist() == [[1.5, -2.0]] * 3
 
@@ -79,12 +84,12 @@ class TestLinear:
         x, w, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 6))
         g = rng.normal(size=(3, 5, 6))
         tx, tw, tb = ad.parameter(x), ad.parameter(w), ad.parameter(b)
-        out = ad.linear(tx, tw, tb)
+        out = affine(tx, tw, tb)
         out.grad = g
         out.backward_fn(out)
         for i in range(3):
             sx, sw, sb = ad.parameter(x[i]), ad.parameter(w[i]), ad.parameter(b[i])
-            sout = ad.linear(sx, sw, sb)
+            sout = affine(sx, sw, sb)
             sout.grad = g[i]
             sout.backward_fn(sout)
             assert np.array_equal(out.data[i], sout.data)
@@ -99,8 +104,74 @@ class TestLinear:
         ((5, 4), (4, 6), (5,)),
     ])
     def test_shape_mismatch(self, xs, ws, bs):
-        with pytest.raises(ad.ShapeError, match="linear shapes incompatible"):
-            ad.linear(ad.tensor(np.ones(xs)), ad.tensor(np.ones(ws)), ad.tensor(np.ones(bs)))
+        with pytest.raises(ad.ShapeError, match="mlp layer 0 shapes incompatible"):
+            affine(ad.tensor(np.ones(xs)), ad.tensor(np.ones(ws)), ad.tensor(np.ones(bs)))
+
+
+def mlp_arrays(rng, dims, lead):
+    """Input, weights and biases for an MLP of layer ``dims``, optionally stacked."""
+    x = rng.normal(size=(*lead, 6, dims[0]))
+    ws = [rng.normal(size=(*lead, a, b)) for a, b in zip(dims[:-1], dims[1:])]
+    bs = [rng.normal(size=(*lead, b)) for b in dims[1:]]
+    return x, ws, bs
+
+
+def mlp_reference(x, ws, bs, g):
+    """Per-layer numpy forward and backward of a ReLU MLP (relu on the pre-activation)."""
+    pres, h = [], x
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        pre = h @ w
+        pre += b if b.ndim == 1 else b[:, None]
+        pres.append(pre)
+        h = np.maximum(pre, 0.0) if i < len(ws) - 1 else pre
+    out, gws, gbs = h, [None] * len(ws), [None] * len(ws)
+    for i in reversed(range(len(ws))):
+        h_in = x if i == 0 else np.maximum(pres[i - 1], 0.0)
+        gws[i], gbs[i] = h_in.mT @ g, g.sum(axis=-2)
+        g = g @ ws[i].mT
+        if i > 0:
+            g = g * (pres[i - 1] > 0.0)
+    return out, g, gws, gbs
+
+
+class TestMlp:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+    @pytest.mark.parametrize("dims", [[4, 5], [4, 7, 5], [4, 7, 8, 5]], ids=["1", "2", "3"])
+    def test_matches_per_layer_reference_bitwise(self, dims, lead):
+        rng = np.random.default_rng(12)
+        x, ws, bs = mlp_arrays(rng, dims, lead)
+        g = rng.normal(size=(*lead, 6, dims[-1]))
+        tx = ad.parameter(x.copy())
+        tws, tbs = [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+        out = ad.mlp(tx, tws, tbs)
+        out.grad = g
+        out.backward_fn(out)
+        ref_out, ref_gx, ref_gws, ref_gbs = mlp_reference(x, ws, bs, g)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(tx.grad, ref_gx)
+        for t, ref in zip(tws + tbs, ref_gws + ref_gbs):
+            assert np.array_equal(t.grad, ref)
+        assert np.array_equal(tx.data, x)
+
+    def test_constant_input_gets_no_grad(self):
+        rng = np.random.default_rng(13)
+        x, ws, bs = mlp_arrays(rng, [4, 7, 5], ())
+        tx, tws, tbs = ad.tensor(x), [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+        ad.backward(ad.sum_all(ad.mlp(tx, tws, tbs)))
+        _, _, ref_gws, ref_gbs = mlp_reference(x, ws, bs, np.ones((6, 5)))
+        assert tx.grad is None
+        for t, ref in zip(tws + tbs, ref_gws + ref_gbs):
+            assert np.array_equal(t.grad, ref)
+
+    def test_bias_count_must_match(self):
+        w = ad.tensor(np.ones((4, 5)))
+        with pytest.raises(ValueError):
+            ad.mlp(ad.tensor(np.ones((2, 4))), [w], [])
+
+    def test_later_layer_shape_mismatch_named(self):
+        x, w, b = np.ones((2, 4)), np.ones((4, 5)), np.ones(5)
+        with pytest.raises(ad.ShapeError, match=r"mlp layer 1 .*\(2, 5\) x \(4, 5\)"):
+            ad.mlp(ad.tensor(x), [ad.tensor(w), ad.tensor(w)], [ad.tensor(b), ad.tensor(b)])
 
 
 class TestSumRows:
@@ -209,7 +280,7 @@ class TestMse:
 class TestDetach:
     def test_blocks_gradients(self):
         w = ad.parameter(np.array([[1.0, 2.0]]))
-        upstream = ad.linear(ad.tensor([[3.0], [4.0]]), w, zero_bias(2))
+        upstream = affine(ad.tensor([[3.0], [4.0]]), w, zero_bias(2))
         loss = ad.mse(ad.parameter(np.zeros((2, 2))), ad.detach(upstream))
         ad.backward(loss)
         assert w.grad is None
@@ -259,8 +330,8 @@ class TestBackward:
     def test_two_live_graphs(self):
         w = ad.parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
         x = ad.tensor([[1.0, 2.0]])
-        first = ad.sum_all(ad.relu(ad.linear(x, w, zero_bias(2))))
-        second = ad.sum_all(ad.scale(ad.linear(x, w, zero_bias(2)), 3.0))
+        first = ad.sum_all(ad.scale(affine(x, w, zero_bias(2)), 1.0))
+        second = ad.sum_all(ad.scale(affine(x, w, zero_bias(2)), 3.0))
         ad.backward(second)
         assert np.array_equal(w.grad, [[3.0, 3.0], [6.0, 6.0]])
         ad.backward(first)
@@ -268,9 +339,9 @@ class TestBackward:
 
     def test_tape_is_creation_order_of_op_results(self):
         a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
-        ra = ad.relu(a)
+        ra = ad.scale(a, 1.0)
         sa = ad.scale(ra, 2.0)
-        rb = ad.relu(b)
+        rb = ad.scale(b, 1.0)
         assert ad.GraphTape.trace(sa).nodes == [ra, sa]
         assert ad.GraphTape.trace(rb).nodes == [rb]
         joined = ad.add(sa, rb)
@@ -282,7 +353,7 @@ class TestBackward:
 
     def test_first_contribution_is_copied(self):
         a, b = ad.parameter(np.ones(2)), ad.parameter(np.ones(2))
-        ra, rb = ad.relu(a), ad.relu(b)
+        ra, rb = ad.scale(a, 1.0), ad.scale(b, 1.0)
         ad.backward(ad.sum_all(ad.add(ra, rb)))
         assert not np.shares_memory(ra.grad, rb.grad)
         assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
@@ -292,7 +363,7 @@ class TestBackward:
             rng = np.random.default_rng(42)
             w = ad.parameter(rng.normal(size=(4, 3)))
             x = ad.tensor(rng.normal(size=(5, 4)))
-            q = ad.softmax(ad.linear(x, w, zero_bias(3)))
+            q = ad.softmax(affine(x, w, zero_bias(3)))
             y = np.eye(3)[rng.integers(3, size=5)]
             loss = ad.cross_entropy(q, y)
             ad.backward(loss)
@@ -314,7 +385,7 @@ class TestFiniteDifferences:
             a = rng.uniform(-2, 2, (m, k))
             b = rng.uniform(-2, 2, (k, n))
             c = rng.uniform(-2, 2, (m, n))
-            check_grad(lambda ta, tb: ad.mse(ad.linear(ta, tb, zero_bias(n)), ad.tensor(c)),
+            check_grad(lambda ta, tb: ad.mse(affine(ta, tb, zero_bias(n)), ad.tensor(c)),
                        [a, b])
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
@@ -326,8 +397,19 @@ class TestFiniteDifferences:
             w = rng.uniform(-2, 2, (*lead, d, h))
             bias = rng.uniform(-2, 2, (*lead, h))
             c = rng.uniform(-2, 2, (*lead, b, h))
-            check_grad(lambda tx, tw, tb: ad.mse(ad.linear(tx, tw, tb), ad.tensor(c)),
+            check_grad(lambda tx, tw, tb: ad.mse(affine(tx, tw, tb), ad.tensor(c)),
                        [x, w, bias])
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "stacked"])
+    @pytest.mark.parametrize("dims", [[3, 4], [3, 5, 4], [3, 5, 4, 4]], ids=["1", "2", "3"])
+    def test_mlp(self, dims, lead):
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            x, ws, bs = mlp_arrays(rng, dims, lead)
+            c = rng.normal(size=(*lead, 6, dims[-1]))
+            n = len(ws)
+            check_grad(lambda tx, *ps: ad.mse(ad.mlp(tx, ps[:n], ps[n:]), ad.tensor(c)),
+                       [x, *ws, *bs])
 
     def test_stacked_cross_entropy_rows(self):
         rng = np.random.default_rng(9)
@@ -379,8 +461,8 @@ class TestFiniteDifferences:
             b = rng.uniform(-2, 2, 5)
             y = np.eye(5)[rng.integers(5, size=4)]
             check_grad(
-                lambda tw, tb: ad.cross_entropy(
-                    ad.softmax(ad.relu(ad.linear(ad.tensor(x), tw, tb))), y),
+                lambda tw, tb: ad.cross_entropy(ad.softmax(ad.mlp(
+                    ad.tensor(x), [tw, ad.tensor(np.eye(5))], [tb, zero_bias(5)])), y),
                 [w, b])
 
     def test_per_sample_rows(self):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ class TestTrain:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("top", ["[1, 2]", "5", "null", "\"erm\""])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, top):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(top)
+        assert cli.main(["train", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "0,,1"])
+    def test_bad_seeds_flag_exit_code(self, tmp_path, capsys, seeds):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--seeds", seeds]) == 1
+        assert capsys.readouterr().err.startswith("error: --seeds must be")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("csv_path", ["5", "\"missing.csv\""])
     def test_bad_csv_path_exit_code(self, tmp_path, capsys, csv_path):
         # An integer path would otherwise be opened as a file descriptor.
@@ -290,6 +306,35 @@ class TestAnalyze:
         assert cli.main(["analyze", str(tmp_path / "out")]) == 0
         assert "no rescale trace" in capsys.readouterr().err
 
+
+    def test_each_seed_suite_built_once(self, tmp_path, monkeypatch):
+        cfg, _ = write_config(tmp_path, seeds=[0, 1], held_out="all")
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        real, seeds_built = cli.generate_suite, []
+
+        def counting(spec):
+            seeds_built.append(spec.seed)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "generate_suite", counting)
+        out = tmp_path / "out"
+        run_dirs = sorted(p.parent for p in out.glob("*/seed*/heldout*/run.json"))
+        assert len(run_dirs) == 6
+        assert cli.main(["analyze", str(out)]) == 0
+        assert sorted(seeds_built) == [0, 1]
+        # Each run directory analysed alone, on a suite of its own, gives the same bytes.
+        combined = {p.name: p.read_bytes() for p in (out / "analysis").iterdir()}
+        alone_names = set()
+        for i, rdir in enumerate(run_dirs):
+            alone = tmp_path / f"alone{i}"
+            shutil.copytree(rdir, alone / rdir.relative_to(out))
+            shutil.copy(out / "config.json", alone / "config.json")
+            assert cli.main(["analyze", str(alone)]) == 0
+            for p in (alone / "analysis").iterdir():
+                if p.name != "entropy_summary.csv":
+                    alone_names.add(p.name)
+                    assert p.read_bytes() == combined[p.name]
+        assert alone_names == set(combined) - {"entropy_summary.csv"}
 
 def _suite_from(config):
     from lfme_lab.domains import SuiteSpec, generate_suite

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,28 @@ class TestForward:
         assert np.array_equal(mm.forward_array(m, x), expected)
         with pytest.raises(AssertionError, match="a tape was created"):
             mm.forward(m, ad.tensor(x))
+
+    def test_forward_adds_one_tape_node(self):
+        m = mm.init_mlp([4, 6, 6, 3], seed=2)
+        z = mm.forward(m, ad.tensor(np.ones((5, 4))))
+        assert ad.GraphTape.trace(z).nodes == [z]
+
+    def test_forward_backward_peak_memory(self):
+        """Backward keeps the post-ReLU activations only: no pre-ReLU copies and no
+        per-layer gradient copies, so one step peaks below 6 activation-sized arrays."""
+        rows = 768
+        m = mm.init_mlp([64, 512, 512, 10], seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(rows, 64))
+        y = np.eye(10)[rng.integers(10, size=rows)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ad.backward(ad.cross_entropy(ad.softmax(mm.forward(m, ad.tensor(x))), y))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (rows * 512 * 8) < 6.0
 
     def test_zero_input_zero_logits(self):
         m = mm.init_mlp([4, 8, 3], seed=2)

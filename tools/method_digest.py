@@ -1,14 +1,15 @@
 """Digest every output of ``run_method`` for every method kind.
 
-Usage: python tools/method_digest.py <src-dir>
+Usage: python tools/method_digest.py <src-dir> [<n-sources>]
 
 Imports ``lfme_lab`` from <src-dir> (``src`` of this tree, or of a checkout
 of another commit) and trains each method kind under Adam and SGD at
 alpha/2 in {0, 0.7}, plus hard_weight_beta in {1, 0} for the hard-weighted
-kinds, for 150 steps on a small suite. It prints one SHA-256 digest per run
-and one over all runs. A digest covers the loss traces, every eval point
-(accuracies, val entropy, probe logit sum, rescale factors, probe
-probabilities and all recorded parameters), the selected step, OOD
+kinds, for 150 steps on a small suite of <n-sources> source domains
+(default 2, so M = 2 experts) and one held-out domain. It prints one SHA-256
+digest per run and one over all runs. A digest covers the loss traces,
+every eval point (accuracies, val entropy, probe logit sum, rescale factors,
+probe probabilities and all recorded parameters), the selected step, OOD
 accuracy, expert probe losses, and the hard and easy ratio traces of
 ``report_from_run``. Two trees that print the same overall digest compute
 bitwise-equal runs.
@@ -50,10 +51,11 @@ def run_digest(run, report) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) not in (2, 3) or (len(argv) == 3 and not argv[2].isdigit()):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve()
+    n_sources = int(argv[2]) if len(argv) == 3 else 2
     sys.path.insert(0, str(src))
     import lfme_lab
     from lfme_lab import analysis, train
@@ -62,7 +64,7 @@ def main(argv) -> int:
         print(f"imported lfme_lab from {lfme_lab.__file__}, not {src}", file=sys.stderr)
         return 2
 
-    suite = generate_suite(SuiteSpec(n_domains=3, n_classes=4, n_per_domain=300,
+    suite = generate_suite(SuiteSpec(n_domains=n_sources + 1, n_classes=4, n_per_domain=300,
                                      d_inv=4, d_spu=4, seed=0))
     sources, held = suite[:-1], suite[-1]
     hard_weighted = (train.ERMP_W_EXPT, train.ERMP_W_SELF)

@@ -76,7 +76,7 @@ class TestMatmul:
 class TestLinear:
     def test_bias_added_to_every_row(self):
         out = affine(ad.tensor(np.zeros((3, 2))), ad.tensor(np.ones((2, 2))),
-                        ad.tensor([1.5, -2.0]))
+                     ad.tensor([1.5, -2.0]))
         assert out.data.tolist() == [[1.5, -2.0]] * 3
 
     def test_stack_equals_slices_bitwise(self):

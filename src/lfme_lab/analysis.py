@@ -1,19 +1,18 @@
-"""Rescaling-factor algebra, prediction statistics, and the evaluation harness.
+"""Rescaling-factor algebra and prediction statistics.
 
-Pure functions over recorded run values plus the leave-one-domain-out
-protocol driver: every domain takes a turn as the held-out target while the
-requested methods train on the rest.
+Pure functions over recorded run values. Nothing here trains: the
+leave-one-domain-out protocols (``lfme train``, ``lfme sweep``) run as jobs
+in ``cli``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import train as tr
-from .domains import DomainDataset
 
 
 class AnalysisError(Exception):
@@ -65,11 +64,15 @@ def classification_ratio(p: np.ndarray, star: int) -> float:
 
 
 def classification_ratio_rows(probs: np.ndarray, stars: np.ndarray) -> np.ndarray:
+    """``classification_ratio`` of each row; NaN for a constant row, where it is undefined.
+
+    A constant row comes from a model that ties every class on a sample, such
+    as one whose hidden units are all dead there.
+    """
     lo = probs.min(axis=1, keepdims=True)
     hi = probs.max(axis=1, keepdims=True)
-    if np.any(hi == lo):
-        raise AnalysisError("classification ratio undefined for a constant row")
-    pbar = (probs - lo) / (hi - lo)
+    with np.errstate(invalid="ignore"):
+        pbar = (probs - lo) / (hi - lo)
     return pbar[np.arange(len(stars)), stars]
 
 
@@ -89,81 +92,23 @@ def split_hard_easy(expert_losses: np.ndarray, fraction: float = 1.0 / 3.0):
 
 @dataclass
 class EvalReport:
-    method: str
-    held_out_id: int
-    seed: int
-    ood_accuracy: float
-    in_domain_val_acc: dict[int, float]
-    mean_entropy: float
-    mean_logit_sum: float
-    selected_step: int
-    expert_val_acc: dict[int, float] = field(default_factory=dict)
-    rescale_f_trace: list = field(default_factory=list)
-    rescale_fp_trace: list = field(default_factory=list)
-    ratio_hard_trace: list = field(default_factory=list)
-    ratio_easy_trace: list = field(default_factory=list)
+    """Mean classification ratio of the hard and of the easy probe samples, per eval point."""
+    ratio_hard_trace: list
+    ratio_easy_trace: list
 
 
-def report_from_run(run: tr.RunResult, hard_reference: tr.RunResult | None = None) -> EvalReport:
-    """Condense a run into the per-held-out-domain report row.
+def report_from_run(run: tr.RunResult) -> EvalReport:
+    """Trace how the run classifies the probe samples its experts find hard and easy.
 
-    ``hard_reference`` supplies the expert losses that define hard and easy
-    probe samples (a run without experts, like the pooled baseline, borrows
-    them from a paired run that has them).
+    A run without experts has no hard/easy split and gets empty traces.
     """
-    sel = run.selected
-    ref = hard_reference if hard_reference is not None else run
     ratio_hard, ratio_easy = [], []
-    if ref.expert_probe_losses is not None:
-        hard_idx, easy_idx = split_hard_easy(ref.expert_probe_losses)
+    if run.expert_probe_losses is not None:
+        hard_idx, easy_idx = split_hard_easy(run.expert_probe_losses)
         for ev in run.evals:
             if ev.probe_probs is None:
                 continue
             ratios = classification_ratio_rows(ev.probe_probs, run.probe.y)
             ratio_hard.append(float(ratios[hard_idx].mean()))
             ratio_easy.append(float(ratios[easy_idx].mean()))
-    return EvalReport(
-        method=run.method.name,
-        held_out_id=run.held_out_id if run.held_out_id is not None else -1,
-        seed=run.config.seed,
-        ood_accuracy=run.ood_accuracy if run.ood_accuracy is not None else float("nan"),
-        in_domain_val_acc=dict(sel.val_acc),
-        mean_entropy=sel.val_entropy,
-        mean_logit_sum=sel.probe_logit_sum,
-        selected_step=sel.step,
-        expert_val_acc=dict(sel.expert_val_acc),
-        rescale_f_trace=[ev.rescale_f for ev in run.evals],
-        rescale_fp_trace=[ev.rescale_fp for ev in run.evals],
-        ratio_hard_trace=ratio_hard,
-        ratio_easy_trace=ratio_easy,
-    )
-
-
-def evaluate_leave_one_out(suite: list[DomainDataset], config: tr.TrainConfig,
-                           methods: list[tr.MethodSpec]) -> dict[int, dict[str, EvalReport]]:
-    """Each domain takes a turn as the unseen target for every method."""
-    out: dict[int, dict[str, EvalReport]] = {}
-    for held in suite:
-        sources = [ds for ds in suite if ds.domain_id != held.domain_id]
-        if len(sources) < 2:
-            raise tr.ConfigError("fewer than 2 source domains remain after holding one out")
-        out[held.domain_id] = {}
-        for method in methods:
-            run = tr.run_method(sources, method, config, held_out=held)
-            out[held.domain_id][method.name] = report_from_run(run)
-    return out
-
-
-def sweep_alpha(suite: list[DomainDataset], config: tr.TrainConfig, grid) -> list[dict]:
-    """One leave-one-out evaluation of the guided method per grid value."""
-    rows = []
-    for alpha_half in grid:
-        method = tr.MethodSpec(kind=tr.LFME, alpha_half=float(alpha_half))
-        reports = evaluate_leave_one_out(suite, config, [method])
-        accs = [reports[h][method.name].ood_accuracy for h in sorted(reports)]
-        row = {"alpha_half": float(alpha_half), "mean_ood_accuracy": float(np.mean(accs))}
-        for h in sorted(reports):
-            row[f"ood_acc_domain{h}"] = reports[h][method.name].ood_accuracy
-        rows.append(row)
-    return rows
-
+    return EvalReport(ratio_hard, ratio_easy)

@@ -2,9 +2,9 @@
 
 Subcommands: gen (write suite CSVs), train (run methods x seeds x held-out
 domains), compare (summary tables), analyze (histograms and traces), sweep
-(guidance-weight grid). Configuration is a JSON document; any key can be
-overridden with --set dotted.path=value. Exit codes: 0 success, 1 bad
-configuration, 2 runtime failure.
+(guidance-weight grid, run as train jobs). Configuration is a JSON document;
+any key can be overridden with --set dotted.path=value. Exit codes: 0
+success, 1 bad configuration, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import models as mm
 from .analysis import report_from_run
 from .domains import DataError, SuiteSpec, generate_suite, load_csv_suite
-from .train import (ConfigError, MethodSpec, TrainConfig, blas_thread_calls, run_method,
+from .train import (LFME, ConfigError, MethodSpec, TrainConfig, blas_thread_calls, run_method,
                     softmax_np)
 
 DEFAULT_ALPHA_GRID = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]
@@ -35,11 +35,8 @@ ALL_METHODS_PRESET = [
     {"kind": "self_guid"}, {"kind": "ermp_w_expt"}, {"kind": "ermp_w_self"},
 ]
 
-SUITE_KEYS = {"n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
-              "spurious_strength", "noise", "seed"}
-TRAIN_KEYS = {"optimizer", "lr", "weight_decay", "steps", "batch_per_domain",
-              "seed", "eval_every", "hidden_dims", "probe_per_domain"}
-METHOD_KEYS = {"kind", "alpha_half", "ls_epsilon", "ramp_steps", "hard_weight_beta"}
+SUITE_KEYS, TRAIN_KEYS, METHOD_KEYS = ({f.name for f in fields(spec)}
+                                      for spec in (SuiteSpec, TrainConfig, MethodSpec))
 
 
 class CliError(Exception):
@@ -54,7 +51,7 @@ def load_config(args) -> dict:
                 config = json.load(f)
         except FileNotFoundError:
             raise CliError(f"config file not found: {args.config}") from None
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # JSONDecodeError, or an integer over Python's digit limit
             raise CliError(f"config is not valid JSON: {e}") from None
         if not isinstance(config, dict):
             raise CliError(f"config must be a JSON object, got {config!r}")
@@ -72,7 +69,7 @@ def load_config(args) -> dict:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = config
         parts = key.split(".")
@@ -126,15 +123,22 @@ def validate_config(config: dict):
             type(s) is int and s >= 0 for s in seeds):
         raise CliError(f"config.seeds must be a nonempty list of integers >= 0, got {seeds!r}")
     if held_out not in ("all", "last") and not (
-            isinstance(held_out, list) and all(type(h) is int for h in held_out)):
-        raise CliError('config.held_out must be "all", "last" or a list of domain ids, '
-                       f"got {held_out!r}")
+            isinstance(held_out, list) and all(type(h) is int for h in held_out)
+            and len(set(held_out)) == len(held_out)):
+        raise CliError('config.held_out must be "all", "last" or a list of distinct domain '
+                       f"ids, got {held_out!r}")
+    kinds = []
     for i, m in enumerate(config["methods"]):
         bad = set(m) - METHOD_KEYS
         if bad:
             raise CliError(f"config.methods[{i}]: unknown keys {sorted(bad)}")
         if "kind" not in m:
             raise CliError(f"config.methods[{i}].kind is required")
+        # A list scan, not a set: a malformed kind may be unhashable.
+        if m["kind"] in kinds:
+            raise CliError(f"config.methods[{i}]: method kind {m['kind']!r} is listed twice; "
+                           "its runs would share one directory")
+        kinds.append(m["kind"])
     suite = config["suite"]
     if "csv" not in suite:
         bad = set(suite) - SUITE_KEYS
@@ -340,24 +344,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
+    """Train every method x seed x held-out job of each config through one ``map_jobs``.
+
+    Every config's values are checked before anything is written; then each
+    config's ``config.json`` is written. Returns each config's held-out ids.
+    """
+    helds = []
+    for config in configs:
+        helds.append(held_out_ids(config, build_suite(config, seed=config["seeds"][0])))
+        for seed in config["seeds"]:
+            build_train_config(config, seed)
+        for m in config["methods"]:
+            build_method(m)
+    for config in configs:
+        mm.atomic_write(Path(config["output"]) / "config.json",
+                        lambda f: json.dump(config, f, indent=2))
+    payloads = [(config, m, seed, h) for config, hs in zip(configs, helds)
+                for m in config["methods"] for seed in config["seeds"] for h in hs]
+    for done in map_jobs(_job_wrapper, payloads, jobs):
+        print(f"finished {done}")
+    return helds
+
+
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    config = load_config(args)
-    suite = build_suite(config, seed=config["seeds"][0])
-    helds = held_out_ids(config, suite)
-    # Reject a bad train or methods value before anything is written.
-    for seed in config["seeds"]:
-        build_train_config(config, seed)
-    for m in config["methods"]:
-        build_method(m)
-    mm.atomic_write(Path(config["output"]) / "config.json",
-                    lambda f: json.dump(config, f, indent=2))
-
-    jobs = [(config, m, seed, h)
-            for m in config["methods"] for seed in config["seeds"] for h in helds]
-    for done in map_jobs(_job_wrapper, jobs, args.jobs):
-        print(f"finished {done}")
+    train_jobs([load_config(args)], args.jobs)
     return 0
 
 
@@ -487,15 +500,41 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def alpha_grid(config: dict) -> list[float]:
+    """``config.alpha_grid`` as floats: a nonempty list of distinct finite numbers >= 0."""
+    grid = config["alpha_grid"]
+    try:
+        values = [float(a) for a in grid if type(a) in (int, float)]
+    except (TypeError, OverflowError):
+        values = []
+    if (not isinstance(grid, list) or not grid or len(values) != len(grid)
+            or not all(0.0 <= a < float("inf") for a in values)
+            or len(set(values)) != len(values)):
+        raise CliError("config.alpha_grid must be a nonempty list of distinct finite "
+                       f"numbers >= 0, got {grid!r}")
+    return values
+
+
 def cmd_sweep(args) -> int:
-    from .analysis import sweep_alpha
+    """Train lfme at each grid value, on the first seed, as ``train`` jobs.
+
+    Each value gets a complete ``train`` output at ``<output>/alpha<value>``;
+    ``sweep.csv`` collects their out-of-domain accuracies.
+    """
     config = load_config(args)
-    suite = build_suite(config, seed=config["seeds"][0])
-    train_cfg = build_train_config(config, config["seeds"][0])
-    rows = sweep_alpha(suite, train_cfg, config["alpha_grid"])
+    grid = alpha_grid(config)
     out = Path(config["output"])
-    header = list(rows[0].keys())
-    write_csv(out / "sweep.csv", header, [[fmt(r[k]) for k in header] for r in rows])
+    seed = config["seeds"][0]
+    configs = [dict(config, methods=[{"kind": LFME, "alpha_half": a}], seeds=[seed],
+                    output=str(out / f"alpha{a!r}")) for a in grid]
+    helds = train_jobs(configs, 1)[0]     # every grid value holds out the same domains
+    rows = []
+    for a, cfg in zip(grid, configs):
+        accs = [_read_ood(run_dir(Path(cfg["output"]), LFME, seed, h) / "metrics.csv")
+                for h in helds]
+        rows.append([a, float(np.mean(accs)), *accs])
+    header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in helds]
+    write_csv(out / "sweep.csv", header, [[fmt(v) for v in r] for r in rows])
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

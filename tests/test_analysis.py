@@ -87,6 +87,12 @@ class TestClassificationRatio:
         with pytest.raises(an.AnalysisError):
             an.classification_ratio(np.full(4, 0.25), 0)
 
+    def test_rows_match_single_row_and_constant_row_is_nan(self):
+        probs = np.array([[0.5, 0.3, 0.2], [0.25, 0.25, 0.5], [0.2, 0.2, 0.2]])
+        r = an.classification_ratio_rows(probs, np.array([1, 2, 0]))
+        assert r[0] == an.classification_ratio(probs[0], 1)
+        assert r[1] == 1.0 and np.isnan(r[2])
+
 
 class TestSplitHardEasy:
     def test_tie_by_index(self):
@@ -117,25 +123,6 @@ class TestHarness:
     def config(self):
         return tr.TrainConfig(steps=60, eval_every=30, batch_per_domain=16, seed=5)
 
-    def test_leave_one_out_shape(self):
-        suite = self.suite()
-        reports = an.evaluate_leave_one_out(suite, self.config(),
-                                            [tr.MethodSpec(tr.ERM)])
-        assert sorted(reports) == [0, 1, 2]
-        for h, by_method in reports.items():
-            rep = by_method["erm"]
-            assert rep.held_out_id == h
-            assert 0.0 <= rep.ood_accuracy <= 1.0
-            assert len(rep.in_domain_val_acc) == 2
-
-    def test_deterministic(self):
-        suite = self.suite()
-        methods = [tr.MethodSpec(tr.LFME, alpha_half=1.0)]
-        a = an.evaluate_leave_one_out(suite, self.config(), methods)
-        b = an.evaluate_leave_one_out(suite, self.config(), methods)
-        for h in a:
-            assert a[h]["lfme"].ood_accuracy == b[h]["lfme"].ood_accuracy
-
     def test_constant_model_accuracy_is_majority_prior(self):
         # A model predicting one class scores the class prior of that class.
         suite = self.suite()
@@ -147,21 +134,12 @@ class TestHarness:
         acc = tr.accuracy(model, held.features, held.labels)
         assert acc == float(np.mean(held.labels == 0))
 
-    def test_sweep_alpha(self):
-        suite = self.suite()
-        rows = an.sweep_alpha(suite, self.config(), [0.0, 1.0])
-        assert len(rows) == 2
-        erm_reports = an.evaluate_leave_one_out(suite, self.config(),
-                                                [tr.MethodSpec(tr.ERM)])
-        erm_mean = np.mean([erm_reports[h]["erm"].ood_accuracy for h in erm_reports])
-        assert abs(rows[0]["mean_ood_accuracy"] - erm_mean) < 1e-12
-
     def test_report_traces(self):
         suite = self.suite()
         sources = suite[:2]
         run = tr.train_run(sources, tr.MethodSpec(tr.LFME, alpha_half=1.0),
                            self.config(), held_out=suite[2])
         rep = an.report_from_run(run)
-        assert len(rep.rescale_f_trace) == len(run.evals)
+        assert all(np.isfinite(ev.rescale_f) and np.isfinite(ev.rescale_fp) for ev in run.evals)
         assert len(rep.ratio_hard_trace) == len(run.evals)
         assert all(0.0 <= r <= 1.0 for r in rep.ratio_hard_trace)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +373,77 @@ class TestConfigHandling:
         with open(tmp_path / "out" / "sweep.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
+
+
+class TestSweep:
+    """``sweep`` runs lfme at each grid value as ``train`` jobs under ``<output>/alpha<value>``."""
+
+    def sweep(self, tmp_path):
+        cfg, _ = write_config(tmp_path, held_out="all", alpha_grid=[0.0, 1.0])
+        assert cli.main(["sweep", "-c", str(cfg)]) == 0
+        return cfg, tmp_path / "out"
+
+    def test_alpha_zero_row_is_erm(self, tmp_path):
+        # ERM == LFME at alpha 0, through the CLI: the row equals train's erm accuracies.
+        cfg, out = self.sweep(tmp_path)
+        rows = read_metrics(out / "sweep.csv")
+        assert [r["alpha_half"] for r in rows] == ["0.0", "1.0"]
+        erm_out = tmp_path / "erm_out"
+        assert cli.main(["train", "-c", str(cfg), "-o", str(erm_out)]) == 0
+        erm = [cli._read_ood(cli.run_dir(erm_out, "erm", 0, h) / "metrics.csv")
+               for h in range(3)]
+        assert [float(rows[0][f"ood_acc_domain{h}"]) for h in range(3)] == erm
+        assert float(rows[0]["mean_ood_accuracy"]) == float(np.mean(erm))
+
+    def test_rerun_is_byte_identical_and_each_point_is_a_train_output(self, tmp_path):
+        cfg, out = self.sweep(tmp_path)
+
+        def files():
+            return {p.relative_to(out): p.read_bytes()
+                    for p in sorted(out.rglob("*")) if p.is_file()}
+        first = files()
+        assert {p for p in first if p.name == "run.json"} == {
+            cli.run_dir(Path(f"alpha{a}"), "lfme", 0, h) / "run.json"
+            for a in ("0.0", "1.0") for h in range(3)}
+        assert cli.main(["sweep", "-c", str(cfg)]) == 0
+        assert files() == first
+
+        point = out / "alpha1.0"
+        assert cli.main(["compare", "-c", str(point / "config.json"), "-o", str(point)]) == 0
+        with open(point / "summary.csv", newline="") as f:
+            summary = list(csv.reader(f))
+        swept = read_metrics(out / "sweep.csv")[1]
+        assert summary[1][0] == "lfme"
+        assert [float(v) for v in summary[1][1:4]] == pytest.approx(
+            [float(swept[f"ood_acc_domain{h}"]) for h in range(3)], abs=5e-5)
+
+    def test_held_out_last_is_honoured(self, tmp_path):
+        cfg, _ = write_config(tmp_path, alpha_grid=[0.0, 1.0])     # held_out "last"
+        assert cli.main(["sweep", "-c", str(cfg)]) == 0
+        with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+            header = next(csv.reader(f))
+        assert header == ["alpha_half", "mean_ood_accuracy", "ood_acc_domain2"]
+        assert not (tmp_path / "out" / "alpha0.0" / "lfme" / "seed0" / "heldout0").exists()
+
+    @pytest.mark.parametrize("command, override, key", [
+        ("train", 'methods=[{"kind": "lfme", "alpha_half": 0.01}, '
+                  '{"kind": "lfme", "alpha_half": 10}]', "'lfme' is listed twice"),
+        ("sweep", 'methods=[{"kind": "erm"}, {"kind": "erm"}]', "'erm' is listed twice"),
+        ("train", "held_out=[1, 1]", "config.held_out"),
+        ("sweep", "alpha_grid=[]", "config.alpha_grid"),
+        ("sweep", 'alpha_grid=["x"]', "config.alpha_grid"),
+        ("sweep", "alpha_grid=5", "config.alpha_grid"),
+        ("sweep", "alpha_grid=[0, 1, -1]", "config.alpha_grid"),
+        ("sweep", "alpha_grid=[1, 1.0]", "config.alpha_grid"),
+        ("sweep", "alpha_grid=[NaN]", "config.alpha_grid"),
+        ("sweep", "alpha_grid=[true]", "config.alpha_grid"),
+    ])
+    def test_bad_config_exit_code(self, tmp_path, capsys, command, override, key):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main([command, "-c", str(cfg), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
 
 
 class _Args:

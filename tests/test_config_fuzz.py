@@ -1,5 +1,6 @@
-"""Property test: a JSON value under any known config key makes ``lfme train`` run
-(exit 0) or report a configuration error (exit 1), never fail with exit 2."""
+"""Property tests: a JSON value under any known config key makes ``lfme train`` run
+(exit 0) or report a configuration error (exit 1), never fail with exit 2; so does any
+``alpha_grid`` value under ``lfme sweep``."""
 
 import json
 import tempfile
@@ -38,16 +39,16 @@ def set_arg(key: str, value) -> str:
     return f"{key}={json.dumps(value)}"
 
 
-def train_exit_code(*sets: str) -> int:
+def exit_code(command: str, *sets: str) -> int:
     with tempfile.TemporaryDirectory() as out:
-        argv = ["train", "--steps", "1", "--output", out]
+        argv = [command, "--steps", "1", "--output", out]
         for item in [*BASE, *sets]:
             argv += ["--set", item]
         return cli.main(argv)
 
 
 def test_base_run_trains():
-    assert train_exit_code() == 0
+    assert exit_code("train") == 0
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -55,4 +56,14 @@ def test_base_run_trains():
 @example(key="seeds", value=[0, -1])                 # once a raw ValueError from SeedSequence
 @example(key="train.probe_per_domain", value=-1)     # once a raw ValueError from rng.choice
 def test_any_value_under_a_known_key_is_a_run_or_a_config_error(key, value):
-    assert train_exit_code(set_arg(key, value)) in (0, 1)
+    assert exit_code("train", set_arg(key, value)) in (0, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(grid=JSON_VALUES | st.lists(st.floats(min_value=0.0), max_size=3))
+@example(grid=[])                       # once an IndexError
+@example(grid=["x"])                    # once a ValueError
+@example(grid=5)                        # once a TypeError
+@example(grid=[1e200])                  # once an AnalysisError on a constant probe row
+def test_any_alpha_grid_is_a_sweep_or_a_config_error(grid):
+    assert exit_code("sweep", f"alpha_grid={json.dumps(grid)}") in (0, 1)

@@ -75,9 +75,14 @@ def init_mlp(layer_dims, seed) -> MlpModel:
 
 def model_from_arrays(arrays) -> MlpModel:
     """An MLP holding copies of parameter arrays (weight, bias, ...); dims read off them."""
-    model = init_mlp([arrays[0].shape[0], *(w.shape[1] for w in arrays[::2])], 0)
-    model.load_param_arrays(arrays)
-    return model
+    params = [ad.parameter(np.array(a, dtype=np.float64)) for a in arrays]
+    shapes = [p.data.shape for p in params]
+    dims = [*shapes[0][:1], *(s[-1] for s in shapes[1::2] if s)] if shapes else []
+    chained = [s for fan_in, fan_out in zip(dims, dims[1:])
+               for s in ((fan_in, fan_out), (fan_out,))]
+    if len(dims) < 2 or min(dims) <= 0 or shapes != chained:
+        raise ValueError(f"parameter shapes {shapes} are not (weight, bias) pairs that chain")
+    return MlpModel(dims, params[::2], params[1::2])
 
 
 def stack_models(models: list[MlpModel]) -> MlpModel:

@@ -119,7 +119,9 @@ class FlatStorage:
     ``self.data`` and ``self.grad``, so backward accumulates straight into the
     buffer and an optimizer step is a few whole-buffer operations. The step
     uses the gradient buffer as its work area: ``p.grad`` is valid only
-    between backward and ``step``.
+    between backward and ``step``. After a run's last update ``_train`` drops
+    the optimizer and sets every ``p.grad`` to None; ``data`` stays with the
+    parameters.
     """
 
     def __init__(self, params):
@@ -532,6 +534,13 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 
 
 def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
+    """``train_run``'s loop, on the thread count ``train_run`` chose.
+
+    Once the last update is applied, the optimizer (its moments or velocity and
+    the gradient buffer) is dropped and every trained parameter's ``grad`` set to
+    None, so the last evaluation and the final scoring run without them. They
+    read only parameters and data.
+    """
     d, k = dims[0], dims[-1]
     n_src = len(sources)
 
@@ -607,6 +616,10 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         opt.zero_grad()
         ad.backward(loss)
         opt.step()
+        if step == config.steps - 1:           # the last update is in: free the optimizer
+            for p in params:
+                p.grad = None
+            opt = None
 
         loss_trace[step] = loss.item()
         target_loss_trace[step] = target_loss_val
@@ -626,9 +639,10 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         evals=evals, selected_index=selected_index, probe=probe,
     )
 
-    if experts is not None:
+    expert_models = result.selected_expert_models()
+    if expert_models is not None:
         result.expert_probe_losses = np.zeros(len(probe.y))
-        for i, e in enumerate(result.selected_expert_models()):
+        for i, e in enumerate(expert_models):
             mask = probe.domain_ids == sources[i].domain_id
             q = np.maximum(softmax_np(mm.forward_array(e, probe.x[mask])), ad.LOG_FLOOR)
             y_1h = one_hot(probe.y[mask], k)
@@ -637,10 +651,9 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     if held_out is not None:
         sel = result.selected
         if method.kind in AGG_KINDS:
-            ex = result.selected_expert_models()
             w_model = (None if sel.weighting_params is None
                        else mm.model_from_arrays(sel.weighting_params))
-            probs = aggregate_predict(method.kind, ex, w_model, held_out.features)
+            probs = aggregate_predict(method.kind, expert_models, w_model, held_out.features)
             result.ood_accuracy = float(np.mean(probs.argmax(axis=1) == held_out.labels))
         else:
             model = result.selected_target_model()
@@ -706,8 +719,9 @@ def run_method(sources, method: MethodSpec, config: TrainConfig,
                held_out: DomainDataset | None = None) -> RunResult:
     """Entry point handling methods that need a previously trained teacher."""
     if method.kind == LFME_GUID:
-        lfme_run = train_run(sources, MethodSpec(LFME, alpha_half=method.alpha_half),
-                             config, held_out=None)
-        teacher = lfme_run.selected_target_model()
+        # Only the teacher model is kept: the teacher run's evals, with their parameter
+        # copies and probe probabilities, are freed before the guided run starts.
+        teacher = train_run(sources, MethodSpec(LFME, alpha_half=method.alpha_half),
+                            config, held_out=None).selected_target_model()
         return train_run(sources, method, config, held_out=held_out, teacher=teacher)
     return train_run(sources, method, config, held_out=held_out)

@@ -132,6 +132,29 @@ class TestStack:
             mm.forward_array(stacked, np.zeros((5, 4)))
 
 
+class TestFromArrays:
+    def test_copies_without_drawing_an_init(self, monkeypatch):
+        src = mm.init_mlp([4, 8, 3], seed=6)
+        monkeypatch.setattr(mm, "init_mlp", None)
+        model = mm.model_from_arrays(src.param_arrays())
+        assert model.layer_dims == [4, 8, 3]
+        for a, b in zip(src.parameters(), model.parameters()):
+            assert np.array_equal(a.data, b.data) and not np.shares_memory(a.data, b.data)
+            assert b.requires_grad and b.grad is None
+
+    @pytest.mark.parametrize("shapes", [
+        [(4, 8)],                                   # a weight without its bias
+        [(4, 8), (8,), (6, 3), (3,)],               # 8 -> 6 does not chain
+        [(4, 8), (7,)],                             # bias width differs from the weight's
+        [(2, 4, 8), (2, 8)],                        # a stacked pair
+        [(4, 0), (0,)],                             # zero width
+        [],
+    ])
+    def test_shapes_that_do_not_chain_rejected(self, shapes):
+        with pytest.raises(ValueError):
+            mm.model_from_arrays([np.zeros(s) for s in shapes])
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = mm.init_mlp([4, 8, 3], seed=6)

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -677,6 +678,52 @@ class TestTrainLoop:
         run = tr.run_method(suite[:3], tr.MethodSpec(tr.LFME_GUID, alpha_half=1.0), cfg,
                             held_out=suite[3])
         assert run.ood_accuracy is not None
+
+
+class TestRunLifecycle:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind", [tr.LFME, tr.AGG_DYN])
+    def test_last_evaluation_runs_without_the_optimizer(self, monkeypatch, kind, optimizer):
+        made, seen = [], []
+        make_optimizer, evaluate = tr.make_optimizer, tr._evaluate
+
+        def recording_make_optimizer(params, config):
+            opt = make_optimizer(params, config)
+            made.append((weakref.ref(opt), opt.params))
+            return opt
+
+        def recording_evaluate(step, *args):
+            ref, params = made[-1]
+            seen.append((step, ref() is not None, [p.grad is None for p in params]))
+            return evaluate(step, *args)
+
+        monkeypatch.setattr(tr, "make_optimizer", recording_make_optimizer)
+        monkeypatch.setattr(tr, "_evaluate", recording_evaluate)
+        suite = small_suite()
+        run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(
+            steps=6, eval_every=2, optimizer=optimizer), held_out=suite[3])
+        assert [step for step, _, _ in seen] == [1, 3, 5]
+        for _, live, grad_none in seen[:-1]:
+            assert live and not any(grad_none)
+        _, live, grad_none = seen[-1]
+        assert not live and all(grad_none)
+        assert run.ood_accuracy is not None
+
+    def test_teacher_run_is_freed_before_the_guided_run(self, monkeypatch):
+        runs, dead_at_start = [], []
+        train_run = tr.train_run
+
+        def recording_train_run(*args, **kwargs):
+            dead_at_start.append([ref() is None for ref in runs])
+            result = train_run(*args, **kwargs)
+            runs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(tr, "train_run", recording_train_run)
+        suite = small_suite()
+        tr.run_method(suite[:3], tr.MethodSpec(tr.LFME_GUID), quick_config(steps=4, eval_every=2),
+                      held_out=suite[3])
+        assert dead_at_start == [[], [True]]
 
 
 @pytest.fixture

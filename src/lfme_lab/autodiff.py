@@ -7,7 +7,8 @@ squared-error losses, per-sample loss rows, and detach. A fresh
 graph is built on every forward pass. Each op result that requires grad joins
 its parents' tape, the graph's op results in creation order (a Wengert list),
 which is already a topological order; ``backward`` walks it once in reverse
-and consumes the graph.
+and consumes the graph, freeing each op's saved arrays and parent links as soon
+as that op's backward has run. Op results keep their data and grad.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class Tensor:
 
     ``parents``, ``backward_fn`` and ``tape`` are set by the op that produced
     the tensor when it requires grad; leaves have none of them. ``backward``
-    sets ``grad`` on the first contribution and adds the later ones.
+    sets ``grad`` on the first contribution and adds the later ones, and clears
+    ``parents`` and ``backward_fn`` once the tensor's own backward has run.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "tape")
@@ -126,7 +128,8 @@ def _result(data, parents, backward_fn):
 def mlp(x: Tensor, weights, biases) -> Tensor:
     """A ReLU MLP with identity output as one op. Each layer is x[B,d] @ w[d,h] + b[h], or
     the same on stacks x[M,B,d], w[M,d,h], b[M,h]. The ReLU runs in place, so backward keeps
-    only each layer's input: x and the post-ReLU activations, signed like the pre-ReLU ones."""
+    only each layer's input: x and the post-ReLU activations, signed like the pre-ReLU ones.
+    Backward drops each layer's saved input as soon as that layer's gradients are computed."""
     h, saved = x.data, []
     for i, (w, b) in enumerate(zip(weights, biases, strict=True)):
         wd, bd = w.data, b.data
@@ -144,7 +147,7 @@ def mlp(x: Tensor, weights, biases) -> Tensor:
     def backward(out):
         g = out.grad
         for i in reversed(range(len(saved))):
-            (h_in, wd), w, b = saved[i], weights[i], biases[i]
+            (h_in, wd), w, b = saved.pop(), weights[i], biases[i]
             if w.requires_grad:
                 w.accumulate_grad(h_in.mT @ g)
             if b.requires_grad:
@@ -351,10 +354,12 @@ def detach(t: Tensor) -> Tensor:
 def backward(loss: Tensor):
     """Accumulate into the grad of every requires-grad tensor reachable from ``loss``.
 
-    Consumes the graph: its tape is released, and a second ``backward`` or a
-    new op on any of its op results raises GraphError. Grads of leaves
-    accumulate across separate graphs; callers zero them between optimizer
-    steps.
+    Consumes the graph: its tape is released, and each op result drops its
+    ``backward_fn`` (with the arrays the op saved) and its ``parents`` as soon
+    as its backward has run, keeping its ``data`` and ``grad``. A second
+    ``backward`` or a new op on any of its op results raises GraphError.
+    Grads of leaves accumulate across separate graphs; callers zero them
+    between optimizer steps.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -368,3 +373,4 @@ def backward(loss: Tensor):
     for node in reversed(nodes):
         if node.grad is not None:
             node.backward_fn(node)
+        node.backward_fn, node.parents = None, ()

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,13 @@ def mlp_arrays(rng, dims, lead):
     return x, ws, bs
 
 
+def saved_hidden(out):
+    """Weakrefs to the hidden activations an ``ad.mlp`` result saved for its backward."""
+    fn = out.backward_fn
+    saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
+    return [weakref.ref(h_in) for h_in, _ in saved[1:]]
+
+
 def mlp_reference(x, ws, bs, g):
     """Per-layer numpy forward and backward of a ReLU MLP (relu on the pre-activation)."""
     pres, h = [], x
@@ -162,6 +171,48 @@ class TestMlp:
         assert tx.grad is None
         for t, ref in zip(tws + tbs, ref_gws + ref_gbs):
             assert np.array_equal(t.grad, ref)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+    @pytest.mark.parametrize("dims", [[4, 5], [4, 7, 5], [4, 7, 8, 5]], ids=["1", "2", "3"])
+    def test_backward_frees_what_the_op_saved(self, dims, lead):
+        rng = np.random.default_rng(14)
+        x, ws, bs = mlp_arrays(rng, dims, lead)
+        tx = ad.parameter(x.copy())
+        tws, tbs = [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+        out = ad.mlp(tx, tws, tbs)
+        closure, hidden = weakref.ref(out.backward_fn), saved_hidden(out)
+        assert len(hidden) == len(dims) - 2 and all(ref() is not None for ref in hidden)
+        loss = ad.sum_all(out)
+        ad.backward(loss)
+        assert closure() is None and not any(ref() is not None for ref in hidden)
+        assert out.backward_fn is None and out.parents == () and loss.parents == ()
+        ref_out, ref_gx, ref_gws, ref_gbs = mlp_reference(x, ws, bs, np.ones_like(out.data))
+        assert np.array_equal(out.data, ref_out) and np.array_equal(out.grad, np.ones_like(ref_out))
+        assert np.array_equal(tx.grad, ref_gx)
+        for t, ref in zip(tws + tbs, ref_gws + ref_gbs):
+            assert np.array_equal(t.grad, ref)
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.backward(loss)
+        with pytest.raises(ad.GraphError, match="already consumed"):
+            ad.sum_all(out)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stacked"])
+    def test_each_layer_input_dies_once_its_grads_are_computed(self, monkeypatch, lead):
+        rng = np.random.default_rng(15)
+        x, ws, bs = mlp_arrays(rng, [4, 7, 8, 6, 5], lead)
+        tws, tbs = [ad.parameter(w) for w in ws], [ad.parameter(b) for b in bs]
+        out = ad.mlp(ad.tensor(x), tws, tbs)
+        hidden, seen = saved_hidden(out), {}
+        accumulate_grad = ad.Tensor.accumulate_grad
+
+        def recording_accumulate_grad(t, g):
+            seen[id(t)] = [ref() is not None for ref in hidden]
+            accumulate_grad(t, g)
+
+        monkeypatch.setattr(ad.Tensor, "accumulate_grad", recording_accumulate_grad)
+        ad.backward(ad.sum_all(out))
+        # Hidden activation j is layer j+1's input: alive at layer i only if j < i.
+        assert [seen[id(w)] for w in tws] == [[j < i for j in range(3)] for i in range(4)]
 
     def test_bias_count_must_match(self):
         w = ad.tensor(np.ones((4, 5)))

@@ -709,6 +709,47 @@ class TestRunLifecycle:
         assert not live and all(grad_none)
         assert run.ood_accuracy is not None
 
+    @pytest.mark.parametrize("kind", [tr.LFME, tr.AGG_DYN])
+    def test_each_steps_activations_die_in_its_backward(self, monkeypatch, kind):
+        # One group of weakrefs per step: the hidden activations its training
+        # forwards saved. A group closes when the step's backward returns.
+        groups, closed_alive_at_forward, alive_at_eval = [[]], [], []
+        mlp, forward, backward, evaluate = ad.mlp, mm.forward, ad.backward, tr._evaluate
+
+        def alive(closed):
+            return sum(ref() is not None for group in closed for ref in group)
+
+        def recording_mlp(x, weights, biases):
+            out = mlp(x, weights, biases)
+            if out.backward_fn is not None:
+                fn = out.backward_fn
+                saved = fn.__closure__[fn.__code__.co_freevars.index("saved")].cell_contents
+                groups[-1].extend(weakref.ref(h_in) for h_in, _ in saved[1:])
+            return out
+
+        def recording_forward(model, x):
+            closed_alive_at_forward.append(alive(groups[:-1]))
+            return forward(model, x)
+
+        def recording_backward(loss):
+            backward(loss)
+            groups.append([])
+
+        def recording_evaluate(step, *args):
+            alive_at_eval.append(alive(groups))
+            return evaluate(step, *args)
+
+        monkeypatch.setattr(ad, "mlp", recording_mlp)
+        monkeypatch.setattr(mm, "forward", recording_forward)
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        monkeypatch.setattr(tr, "_evaluate", recording_evaluate)
+        suite = small_suite()
+        tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=6, eval_every=2),
+                     held_out=suite[3])
+        assert len(groups) == 7 and all(len(g) == 2 * len(tr.DEFAULT_HIDDEN) for g in groups[:-1])
+        assert len(closed_alive_at_forward) > 12 and not any(closed_alive_at_forward)
+        assert alive_at_eval == [0, 0, 0]
+
     def test_teacher_run_is_freed_before_the_guided_run(self, monkeypatch):
         runs, dead_at_start = [], []
         train_run = tr.train_run

@@ -308,14 +308,10 @@ def hard_weights(expert_losses: np.ndarray, beta: float) -> np.ndarray:
 # Evaluation helpers
 
 
-def predict(model: mm.MlpModel, x: np.ndarray) -> np.ndarray:
-    return mm.forward_array(model, x).argmax(axis=1)
-
-
 def accuracy(model: mm.MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(y) == 0:
         return float("nan")
-    return float(np.mean(predict(model, x) == y))
+    return float(np.mean(mm.forward_array(model, x).argmax(axis=1) == y))
 
 
 def average_parameters(experts: list[mm.MlpModel]) -> mm.MlpModel:
@@ -347,6 +343,14 @@ def aggregate_predict(kind: str, experts: list[mm.MlpModel],
     raise ConfigError(f"not an aggregation kind: {kind!r}")
 
 
+def predicted_labels(kind: str, target: mm.MlpModel | None, experts: list[mm.MlpModel] | None,
+                     weighting: mm.MlpModel | None, x: np.ndarray) -> np.ndarray:
+    """A method's class per row: the aggregate's argmax for ``AGG_KINDS``, else the target's."""
+    if kind in AGG_KINDS:
+        return aggregate_predict(kind, experts, weighting, x).argmax(axis=1)
+    return mm.forward_array(target, x).argmax(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Run records
 
@@ -374,7 +378,6 @@ class Probe:
     x: np.ndarray
     y: np.ndarray
     domain_ids: np.ndarray
-    domain_pos: dict[int, int]       # domain id -> position among sources
 
 
 @dataclass
@@ -417,8 +420,7 @@ def make_probe(sources: list[DomainDataset], config: TrainConfig) -> Probe:
         xs.append(ds.features[take])
         ys.append(ds.labels[take])
         ids.append(np.full(len(take), ds.domain_id, dtype=np.int64))
-    pos = {ds.domain_id: i for i, ds in enumerate(sources)}
-    return Probe(np.concatenate(xs), np.concatenate(ys), np.concatenate(ids), pos)
+    return Probe(np.concatenate(xs), np.concatenate(ys), np.concatenate(ids))
 
 
 def rescale_factors(z: np.ndarray, q: np.ndarray, q_expert: np.ndarray,
@@ -527,10 +529,9 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     if len(sources) < 2:
         raise ConfigError("need at least 2 source domains")
     dims = [sources[0].features.shape[1], *config.hidden_dims, sources[0].n_classes]
-    if step_matmul_madds(len(sources), config, dims) < SERIAL_BLAS_MADDS:
-        with blas_threads(1):
-            return _train(sources, method, config, held_out, teacher, dims)
-    return _train(sources, method, config, held_out, teacher, dims)
+    serial = step_matmul_madds(len(sources), config, dims) < SERIAL_BLAS_MADDS
+    with blas_threads(1) if serial else contextlib.nullcontext():
+        return _train(sources, method, config, held_out, teacher, dims)
 
 
 def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
@@ -538,8 +539,11 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
 
     Once the last update is applied, the optimizer (its moments or velocity and
     the gradient buffer) is dropped and every trained parameter's ``grad`` set to
-    None, so the last evaluation and the final scoring run without them. They
-    read only parameters and data.
+    None, so the last evaluation runs without them. After the loop the live models,
+    and with them the flat data buffer, are dropped too: the run is scored from its
+    records alone. The selected point's parameter copies give the held-out score,
+    and the experts' probe probabilities ``_evaluate`` returned for that point give
+    the expert probe losses.
     """
     d, k = dims[0], dims[-1]
     n_src = len(sources)
@@ -556,10 +560,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     weighting = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0]) \
         if needs_weighting else None
 
-    params = []
-    for model in (stacked, target, weighting):
-        if model is not None:
-            params.extend(model.parameters())
+    params = [p for m in (stacked, target, weighting) if m is not None for p in m.parameters()]
     opt = make_optimizer(params, config)
     # Per-expert views of the stacked storage the optimizer now owns.
     experts = mm.unstack(stacked) if stacked is not None else None
@@ -575,6 +576,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     loss_trace = np.zeros(config.steps)
     target_loss_trace = np.zeros(config.steps)
     evals: list[EvalPoint] = []
+    expert_probe_probs = []             # per eval point, None without experts
 
     for step in range(config.steps):
         batch = make_batches(sources, config.batch_per_domain, config.seed, step)
@@ -625,11 +627,13 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         target_loss_trace[step] = target_loss_val
 
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
-            evals.append(_evaluate(step, sources, method, config, target, experts,
-                                   weighting, probe, pooled_val_x, target_loss_val))
+            ev, q_expert = _evaluate(step, sources, method, target, experts, weighting,
+                                     probe, pooled_val_x, target_loss_val)
+            evals.append(ev)
+            expert_probe_probs.append(q_expert)
 
-    mean_vals = np.array([ev.mean_val_acc for ev in evals])
-    selected_index = int(np.argmax(mean_vals))
+    del target, stacked, experts, weighting, params, p      # score from the records alone
+    selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
     result = RunResult(
         method=method, config=config,
@@ -639,65 +643,54 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         evals=evals, selected_index=selected_index, probe=probe,
     )
 
-    expert_models = result.selected_expert_models()
-    if expert_models is not None:
-        result.expert_probe_losses = np.zeros(len(probe.y))
-        for i, e in enumerate(expert_models):
-            mask = probe.domain_ids == sources[i].domain_id
-            q = np.maximum(softmax_np(mm.forward_array(e, probe.x[mask])), ad.LOG_FLOOR)
-            y_1h = one_hot(probe.y[mask], k)
-            result.expert_probe_losses[mask] = -(y_1h * np.log(q)).sum(axis=1)
-
+    q_expert = expert_probe_probs[selected_index]
+    if q_expert is not None:
+        result.expert_probe_losses = ad.cross_entropy_rows(
+            ad.tensor(q_expert), one_hot(probe.y, k), _validate=False).data
     if held_out is not None:
-        sel = result.selected
-        if method.kind in AGG_KINDS:
-            w_model = (None if sel.weighting_params is None
-                       else mm.model_from_arrays(sel.weighting_params))
-            probs = aggregate_predict(method.kind, expert_models, w_model, held_out.features)
-            result.ood_accuracy = float(np.mean(probs.argmax(axis=1) == held_out.labels))
-        else:
-            model = result.selected_target_model()
-            result.ood_accuracy = accuracy(model, held_out.features, held_out.labels)
+        agg, w = method.kind in AGG_KINDS, result.selected.weighting_params
+        pred = predicted_labels(method.kind, result.selected_target_model(),
+                                result.selected_expert_models() if agg else None,
+                                None if w is None else mm.model_from_arrays(w),
+                                held_out.features)
+        result.ood_accuracy = float(np.mean(pred == held_out.labels))
     return result
 
 
-def _evaluate(step, sources, method, config, target, experts, weighting, probe,
-              pooled_val_x, target_loss_val) -> EvalPoint:
-    k = sources[0].n_classes
+def _evaluate(step, sources, method, target, experts, weighting, probe,
+              pooled_val_x, target_loss_val) -> tuple[EvalPoint, np.ndarray | None]:
+    """One eval point of the live models, and the experts' probe probabilities.
+
+    Train and val accuracies come from ``predicted_labels``, as the held-out score
+    does. Each expert is run on its own domain's probe rows; the probabilities
+    feed the rescale factors here and, at the selected point, the expert probe
+    losses. They are None for a kind without experts.
+    """
     train_acc, val_acc = {}, {}
-    expert_val_acc = {}
+    for ds in sources:
+        pred = predicted_labels(method.kind, target, experts, weighting, ds.features)
+        train_acc[ds.domain_id] = float(np.mean(pred[ds.train_idx] == ds.labels[ds.train_idx]))
+        val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
     if method.kind in AGG_KINDS:
-        w_model = weighting
-        for ds in sources:
-            probs = aggregate_predict(method.kind, experts, w_model, ds.features)
-            pred = probs.argmax(axis=1)
-            train_acc[ds.domain_id] = float(np.mean(pred[ds.train_idx] == ds.labels[ds.train_idx]))
-            val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
-        probe_probs = aggregate_predict(method.kind, experts, w_model, probe.x)
+        probe_probs = aggregate_predict(method.kind, experts, weighting, probe.x)
         probe_logits = np.log(np.maximum(probe_probs, ad.LOG_FLOOR))
         val_entropy = float("nan")
     else:
-        for ds in sources:
-            pred = predict(target, ds.features)
-            train_acc[ds.domain_id] = float(np.mean(pred[ds.train_idx] == ds.labels[ds.train_idx]))
-            val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
         probe_logits = mm.forward_array(target, probe.x)
         probe_probs = softmax_np(probe_logits)
         val_entropy = an.entropy(softmax_np(mm.forward_array(target, pooled_val_x)))
 
-    rescale_f = rescale_fp = None
+    expert_val_acc, q_expert, rescale_f, rescale_fp = {}, None, None, None
     if experts is not None:
-        for i, e in enumerate(experts):
-            ds = sources[i]
+        q_expert = np.zeros_like(probe_probs)
+        for e, ds in zip(experts, sources):
             expert_val_acc[ds.domain_id] = accuracy(e, ds.features[ds.val_idx],
                                                     ds.labels[ds.val_idx])
-        if method.kind == LFME and method.alpha_half > 0 and target is not None:
-            qe = np.zeros_like(probe_probs)
-            for i, e in enumerate(experts):
-                mask = probe.domain_ids == sources[i].domain_id
-                qe[mask] = softmax_np(mm.forward_array(e, probe.x[mask]))
+            mask = probe.domain_ids == ds.domain_id
+            q_expert[mask] = softmax_np(mm.forward_array(e, probe.x[mask]))
+        if method.kind == LFME and method.alpha_half > 0:
             rescale_f, rescale_fp = rescale_factors(
-                probe_logits, probe_probs, qe, probe.y, 2.0 * method.alpha_half)
+                probe_logits, probe_probs, q_expert, probe.y, 2.0 * method.alpha_half)
 
     return EvalPoint(
         step=step,
@@ -712,7 +705,7 @@ def _evaluate(step, sources, method, config, target, experts, weighting, probe,
         target_params=target.param_arrays() if target is not None else None,
         expert_params=[e.param_arrays() for e in experts] if experts is not None else None,
         weighting_params=weighting.param_arrays() if weighting is not None else None,
-    )
+    ), q_expert
 
 
 def run_method(sources, method: MethodSpec, config: TrainConfig,

@@ -767,6 +767,73 @@ class TestRunLifecycle:
         assert dead_at_start == [[], [True]]
 
 
+def reference_expert_probe_losses(run, sources):
+    """Each selected expert, rebuilt from its record, on its own domain's probe rows."""
+    probe, losses = run.probe, np.zeros(len(run.probe.y))
+    for e, ds in zip(run.selected_expert_models(), sources):
+        mask = probe.domain_ids == ds.domain_id
+        q = np.maximum(tr.softmax_np(mm.forward_array(e, probe.x[mask])), ad.LOG_FLOOR)
+        losses[mask] = -(one_hot(probe.y[mask], ds.n_classes) * np.log(q)).sum(axis=1)
+    return losses
+
+
+class TestScoring:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("kind", [tr.LFME, tr.KD_QQ, tr.ERMP_W_EXPT, tr.AGG_AVG, tr.AGG_DYN])
+    def test_expert_probe_losses_match_the_rebuilt_experts(self, kind, optimizer):
+        # At lr 0.05 the selected point is an earlier one in 9 of these 10 runs.
+        suite = small_suite()
+        run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(
+            steps=60, eval_every=10, lr=0.05, optimizer=optimizer), held_out=suite[3])
+        with tr.blas_threads(1):
+            expected = reference_expert_probe_losses(run, suite[:3])
+        assert run.expert_probe_losses.shape == (len(run.probe.y),)
+        assert np.array_equal(run.expert_probe_losses, expected)
+
+    # lfme scores with the target alone; agg_dyn with 3 expert copies and the weighting net.
+    @pytest.mark.parametrize("kind, expert_builds, n_models", [(tr.LFME, 0, 1), (tr.AGG_DYN, 1, 4)])
+    def test_scoring_reads_only_the_records(self, monkeypatch, kind, expert_builds, n_models):
+        # After the last evaluation only the held-out rows are forwarded, by models
+        # built from the selected record, with the live flat data buffer already dead.
+        buffers, evals_done, forwards, builds = [], [], [], []
+        make_optimizer, evaluate = tr.make_optimizer, tr._evaluate
+        forward_array = mm.forward_array
+        selected_expert_models = tr.RunResult.selected_expert_models
+
+        def recording_make_optimizer(params, config):
+            opt = make_optimizer(params, config)
+            buffers.append(weakref.ref(opt.data))
+            return opt
+
+        def recording_evaluate(step, *args):
+            out = evaluate(step, *args)
+            evals_done.append(step)
+            return out
+
+        def recording_forward_array(model, x):
+            forwards.append((len(evals_done), x, buffers[-1]() is None))
+            return forward_array(model, x)
+
+        def recording_selected_expert_models(run):
+            builds.append(len(evals_done))
+            return selected_expert_models(run)
+
+        monkeypatch.setattr(tr, "make_optimizer", recording_make_optimizer)
+        monkeypatch.setattr(tr, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(mm, "forward_array", recording_forward_array)
+        monkeypatch.setattr(tr.RunResult, "selected_expert_models",
+                            recording_selected_expert_models)
+        suite = small_suite()
+        run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=6, eval_every=2),
+                           held_out=suite[3])
+        assert evals_done == [1, 3, 5] and len(buffers) == 1
+        scoring = [(x, dead) for n, x, dead in forwards if n == 3]
+        assert len(scoring) == n_models
+        assert all(x is suite[3].features and dead for x, dead in scoring)
+        assert builds == [3] * expert_builds
+        assert run.ood_accuracy is not None
+
+
 @pytest.fixture
 def blas_get():
     calls = tr.blas_thread_calls()

@@ -81,14 +81,6 @@ class DomainDataset:
     # (seed, epoch) -> read-only shuffle of train_idx; see _epoch_perm.
     epoch_perms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
 
 def _class_means(k: int, d: int) -> np.ndarray:
     """Vertices of a regular (k-1)-simplex embedded in d dims, norm 2 each."""

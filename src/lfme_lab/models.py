@@ -46,16 +46,6 @@ class MlpModel:
     def param_arrays(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters()]
 
-    def load_param_arrays(self, arrays):
-        """Copy values in place, so parameters an optimizer holds stay attached to it."""
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ValueError(f"expected {len(params)} arrays, got {len(arrays)}")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ValueError(f"parameter shape {p.data.shape} != {a.shape}")
-            p.data[...] = a
-
 
 def init_mlp(layer_dims, seed) -> MlpModel:
     """Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)) weights, zero biases."""

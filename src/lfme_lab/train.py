@@ -12,6 +12,7 @@ import contextlib
 import functools
 import numbers
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,31 @@ AGG_MS = "agg_ms"
 AGG_CONF = "agg_conf"
 AGG_DYN = "agg_dyn"
 
-METHOD_KINDS = (
-    ERM, LFME, ERM_PLUS, LS, KD_ZZ, KD_QZ, KD_QQ, KD_CE, LFME_GUID,
-    SELF_GUID, ERMP_W_EXPT, ERMP_W_SELF, AGG_AVG, AGG_MS, AGG_CONF, AGG_DYN,
-)
-EXPERT_KINDS = frozenset({LFME, KD_ZZ, KD_QZ, KD_QQ, KD_CE, ERMP_W_EXPT,
-                          AGG_AVG, AGG_MS, AGG_CONF, AGG_DYN})
-AGG_KINDS = frozenset({AGG_AVG, AGG_MS, AGG_CONF, AGG_DYN})
+# README "Method kinds" as a table. Per kind: does it train per-domain experts, does it
+# train the domain-weighting net, does it predict by aggregating the experts (and so train
+# no target), and the (a, b) its target loss adds as alpha_half * mse(a, b). a is the
+# target's logits "z" or probabilities "q"; b a detached guide, "q" itself or a key of
+# ``target_loss``'s ``guides``. ermp_w_* take the guided form only at hard_weight_beta = 0.
+MethodKind = namedtuple("MethodKind", "experts weighting aggregate guidance")
+METHODS = {  #         experts weighting aggregate guidance
+    ERM:         MethodKind(False, False, False, None),
+    LFME:        MethodKind(True,  False, False, ("z", "q_expert")),
+    ERM_PLUS:    MethodKind(False, False, False, ("z", "y")),
+    LS:          MethodKind(False, False, False, None),
+    KD_ZZ:       MethodKind(True,  False, False, ("z", "z_expert")),
+    KD_QZ:       MethodKind(True,  False, False, ("q", "z_expert")),
+    KD_QQ:       MethodKind(True,  False, False, ("q", "q_expert")),
+    KD_CE:       MethodKind(True,  False, False, None),
+    LFME_GUID:   MethodKind(False, False, False, ("q", "q_teacher")),
+    SELF_GUID:   MethodKind(False, False, False, ("z", "q")),
+    ERMP_W_EXPT: MethodKind(True,  False, False, ("z", "y")),
+    ERMP_W_SELF: MethodKind(False, False, False, ("z", "y")),
+    AGG_AVG:     MethodKind(True,  False, True,  None),
+    AGG_MS:      MethodKind(True,  False, True,  None),
+    AGG_CONF:    MethodKind(True,  False, True,  None),
+    AGG_DYN:     MethodKind(True,  True,  True,  None),
+}
+METHOD_KINDS = tuple(METHODS)
 
 DEFAULT_HIDDEN = (64, 64)
 
@@ -68,7 +87,7 @@ class MethodSpec:
     hard_weight_beta: float = 1.0
 
     def validate(self):
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in METHODS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"), error=ConfigError)
         if self.ramp_steps is not None:
@@ -230,22 +249,6 @@ def loss_expert(rows: ad.Tensor) -> ad.Tensor:
     return ad.sum_all(ad.scale(ad.sum_rows(rows), 1.0 / rows.data.shape[-1]))
 
 
-# Guided kinds: target loss = cross_entropy(q, y) + alpha_half * mse(a, b); a is the
-# target's logits "z" or probabilities "q", b a detached guide: "q" itself or a key of
-# ``target_loss``'s ``guides``. ermp_w_* take this form at hard_weight_beta = 0.
-GUIDANCE_PAIRS = {
-    LFME: ("z", "q_expert"),
-    ERM_PLUS: ("z", "y"),
-    KD_ZZ: ("z", "z_expert"),
-    KD_QZ: ("q", "z_expert"),
-    KD_QQ: ("q", "q_expert"),
-    SELF_GUID: ("z", "q"),
-    LFME_GUID: ("q", "q_teacher"),
-    ERMP_W_EXPT: ("z", "y"),
-    ERMP_W_SELF: ("z", "y"),
-}
-
-
 def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) -> ad.Tensor:
     """The target model's loss on logits ``z``; one softmax of ``z`` feeds every term.
 
@@ -271,21 +274,12 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) 
         ref = guides["expert_losses"] if kind == ERMP_W_EXPT else v.data
         return ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
     cla = ad.cross_entropy(q, y, _validate)
-    pair = GUIDANCE_PAIRS.get(kind)
+    pair = METHODS[kind].guidance
     if pair is None or alpha_half == 0.0:
         return cla
     a, b = pair
     guide = ad.detach(q) if b == "q" else ad.tensor(guides[b])
     return ad.add(cla, ad.scale(ad.mse(z if a == "z" else q, guide), alpha_half))
-
-
-def loss_lfme(z: ad.Tensor, y_onehot, q_expert, alpha_half: float) -> ad.Tensor:
-    """Classification loss plus logit regression toward expert probabilities."""
-    q_expert = q_expert.data if isinstance(q_expert, ad.Tensor) else np.asarray(q_expert)
-    if q_expert.shape != z.data.shape:
-        raise ad.ShapeError(f"expert rows {q_expert.shape} misaligned with logits {z.data.shape}")
-    return target_loss(MethodSpec(LFME, alpha_half=alpha_half), z,
-                       {"y": y_onehot, "q_expert": q_expert})
 
 
 def kd_weight(alpha_half: float, step: int, ramp_steps: int | None) -> float:
@@ -345,8 +339,8 @@ def aggregate_predict(kind: str, experts: list[mm.MlpModel],
 
 def predicted_labels(kind: str, target: mm.MlpModel | None, experts: list[mm.MlpModel] | None,
                      weighting: mm.MlpModel | None, x: np.ndarray) -> np.ndarray:
-    """A method's class per row: the aggregate's argmax for ``AGG_KINDS``, else the target's."""
-    if kind in AGG_KINDS:
+    """Each row's class: the argmax of the aggregate for an aggregation kind, else of the target."""
+    if METHODS[kind].aggregate:
         return aggregate_predict(kind, experts, weighting, x).argmax(axis=1)
     return mm.forward_array(target, x).argmax(axis=1)
 
@@ -548,17 +542,15 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     d, k = dims[0], dims[-1]
     n_src = len(sources)
 
-    needs_experts = method.kind in EXPERT_KINDS
-    needs_target = method.kind not in AGG_KINDS
-    needs_weighting = method.kind == AGG_DYN
+    method_kind = METHODS[method.kind]
     if method.kind == LFME_GUID and teacher is None:
         raise ConfigError("lfme_guid needs a frozen teacher model")
 
-    target = mm.init_mlp(dims, [config.seed, 11, 0]) if needs_target else None
+    target = mm.init_mlp(dims, [config.seed, 11, 0]) if not method_kind.aggregate else None
     stacked = (mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i]) for i in range(n_src)])
-               if needs_experts else None)
+               if method_kind.experts else None)
     weighting = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0]) \
-        if needs_weighting else None
+        if method_kind.weighting else None
 
     params = [p for m in (stacked, target, weighting) if m is not None for p in m.parameters()]
     opt = make_optimizer(params, config)
@@ -648,7 +640,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         result.expert_probe_losses = ad.cross_entropy_rows(
             ad.tensor(q_expert), one_hot(probe.y, k), _validate=False).data
     if held_out is not None:
-        agg, w = method.kind in AGG_KINDS, result.selected.weighting_params
+        agg, w = method_kind.aggregate, result.selected.weighting_params
         pred = predicted_labels(method.kind, result.selected_target_model(),
                                 result.selected_expert_models() if agg else None,
                                 None if w is None else mm.model_from_arrays(w),
@@ -671,7 +663,7 @@ def _evaluate(step, sources, method, target, experts, weighting, probe,
         pred = predicted_labels(method.kind, target, experts, weighting, ds.features)
         train_acc[ds.domain_id] = float(np.mean(pred[ds.train_idx] == ds.labels[ds.train_idx]))
         val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
-    if method.kind in AGG_KINDS:
+    if METHODS[method.kind].aggregate:
         probe_probs = aggregate_predict(method.kind, experts, weighting, probe.x)
         probe_logits = np.log(np.maximum(probe_probs, ad.LOG_FLOOR))
         val_entropy = float("nan")

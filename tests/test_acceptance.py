@@ -44,9 +44,7 @@ def _ratio_means(run, hard_idx, easy_idx):
 
 def _aggregate_accuracies(run, held):
     experts = run.selected_expert_models()
-    weighting = mm.init_mlp([run.probe.x.shape[1], *run.config.hidden_dims,
-                             len(run.source_ids)], 0)
-    weighting.load_param_arrays(run.selected.weighting_params)
+    weighting = mm.model_from_arrays(run.selected.weighting_params)
     out = {}
     for kind in (tr.AGG_AVG, tr.AGG_MS, tr.AGG_CONF, tr.AGG_DYN):
         probs = tr.aggregate_predict(kind, experts, weighting, held.features)
@@ -129,7 +127,8 @@ class TestGradientIdentity:
             y1h = one_hot(y, k)
 
             t_z = ad.parameter(z)
-            loss = tr.loss_lfme(t_z, y1h, q_exp, alpha_half)
+            loss = tr.target_loss(tr.MethodSpec(tr.LFME, alpha_half=alpha_half), t_z,
+                                  {"y": y1h, "q_expert": q_exp})
             ad.backward(loss)
             got = t_z.grad * b          # per-sample gradient
             want = tr.softmax_np(z) - y1h + 2.0 * alpha_half * (z - q_exp)

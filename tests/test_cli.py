@@ -9,6 +9,7 @@ import pytest
 
 from lfme_lab import cli
 from lfme_lab import models as mm
+from lfme_lab import train as tr
 from lfme_lab.domains import load_csv_suite
 
 
@@ -366,6 +367,12 @@ class TestConfigHandling:
         loaded = cli.load_config(args)
         assert len(loaded["methods"]) == len(cli.ALL_METHODS_PRESET) > 1
         assert all(m["alpha_half"] == 0.5 for m in loaded["methods"])
+
+    def test_all_methods_preset_is_every_kind_but_lfme_guid(self):
+        # lfme_guid trains an lfme teacher first, so "all" leaves it out.
+        kinds = [m["kind"] for m in cli.ALL_METHODS_PRESET]
+        assert len(kinds) == len(set(kinds))
+        assert set(kinds) == set(tr.METHODS) - {tr.LFME_GUID}
 
     def test_sweep_grid_rows(self, tmp_path):
         cfg, config = write_config(tmp_path, alpha_grid=[0.0, 1.0])

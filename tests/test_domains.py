@@ -52,7 +52,7 @@ class TestGenerate:
         suite = generate_suite(small_spec())
         for ds in suite:
             assert len(np.intersect1d(ds.train_idx, ds.val_idx)) == 0
-            assert len(ds.train_idx) + len(ds.val_idx) == ds.n
+            assert len(ds.train_idx) + len(ds.val_idx) == len(ds.labels)
             for k in range(ds.n_classes):
                 total = int(np.sum(ds.labels == k))
                 in_val = int(np.sum(ds.labels[ds.val_idx] == k))
@@ -77,7 +77,7 @@ class TestCsv:
         p = self.write(tmp_path, "f0,f1,domain,label\n1.0,2.0,a,0\n3.0,4.0,b,1\n")
         suite = load_csv_suite(p, "domain", "label", standardize=False)
         assert len(suite) == 2
-        assert all(ds.n == 1 for ds in suite)
+        assert all(len(ds.labels) == 1 for ds in suite)
 
     def test_standardization(self, tmp_path):
         rng = np.random.default_rng(3)

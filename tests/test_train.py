@@ -64,13 +64,13 @@ class TestLosses:
         z = rng.normal(size=(4, 3))
         y = one_hot(rng.integers(3, size=4), 3)
         qe = tr.softmax_np(rng.normal(size=(4, 3)))
-        assert (tr.loss_lfme(ad.tensor(z), y, qe, 0.0).item()
+        assert (guided_loss(tr.LFME, ad.tensor(z), y, alpha_half=0.0, q_expert=qe).item()
                 == ad.cross_entropy(ad.softmax(ad.tensor(z)), y).item())
 
     def test_lfme_guidance_vanishes_at_equality(self):
         qe = np.array([[0.7, 0.3]])
         y = one_hot(np.array([0]), 2)
-        full = tr.loss_lfme(ad.tensor(qe), y, qe, 5.0).item()
+        full = guided_loss(tr.LFME, ad.tensor(qe), y, alpha_half=5.0, q_expert=qe).item()
         cla = ad.cross_entropy(ad.softmax(ad.tensor(qe)), y).item()
         assert abs(full - cla) < 1e-15
 
@@ -79,13 +79,14 @@ class TestLosses:
         y = one_hot(np.array([0]), 2)
         qe = np.array([[0.8, 0.2]])
         expected = -np.log(np.e / (np.e + 1)) + 0.08
-        assert abs(tr.loss_lfme(z, y, qe, 1.0).item() - expected) < 1e-12
-        assert abs(tr.loss_lfme(z, y, qe, 1.0).item() - 0.3932616875182228) < 1e-12
+        loss = guided_loss(tr.LFME, z, y, alpha_half=1.0, q_expert=qe).item()
+        assert abs(loss - expected) < 1e-12
+        assert abs(loss - 0.3932616875182228) < 1e-12
 
     def test_lfme_misaligned_shapes(self):
         with pytest.raises(ad.ShapeError):
-            tr.loss_lfme(ad.tensor(np.zeros((2, 3))), one_hot(np.zeros(2, dtype=int), 3),
-                         np.zeros((3, 3)), 1.0)
+            guided_loss(tr.LFME, ad.tensor(np.zeros((2, 3))), one_hot(np.zeros(2, dtype=int), 3),
+                        q_expert=np.zeros((3, 3)))
 
     def test_erm_plus_hand_value(self):
         z = ad.tensor([[0.0, 0.0]])
@@ -168,7 +169,7 @@ class TestLosses:
         assert np.allclose(z.grad, (q - y) + 2 * (z.data - q), rtol=0, atol=1e-14)
 
     def test_lfme_guid(self):
-        assert tr.GUIDANCE_PAIRS[tr.LFME_GUID] == ("q", "q_teacher")
+        assert tr.METHODS[tr.LFME_GUID].guidance == ("q", "q_teacher")
         z = ad.tensor([[0.0, 0.0]])
         y = one_hot(np.array([0]), 2)
         cla = ad.cross_entropy(ad.softmax(z), y).item()
@@ -184,7 +185,7 @@ class TestLosses:
         assert abs((total - cla) - ((a - b) ** 2).sum() / 4) < 1e-15
 
     def test_guidance_pair_table(self):
-        assert tr.GUIDANCE_PAIRS == {
+        assert {k: m.guidance for k, m in tr.METHODS.items() if m.guidance} == {
             tr.LFME: ("z", "q_expert"), tr.ERM_PLUS: ("z", "y"),
             tr.KD_ZZ: ("z", "z_expert"), tr.KD_QZ: ("q", "z_expert"),
             tr.KD_QQ: ("q", "q_expert"), tr.SELF_GUID: ("z", "q"),
@@ -192,7 +193,16 @@ class TestLosses:
             tr.ERMP_W_EXPT: ("z", "y"), tr.ERMP_W_SELF: ("z", "y"),
         }
 
-    @pytest.mark.parametrize("kind", sorted(tr.GUIDANCE_PAIRS))
+    def test_method_table_columns(self):
+        def kinds(column):
+            return {k for k, m in tr.METHODS.items() if getattr(m, column)}
+        aggregation = {tr.AGG_AVG, tr.AGG_MS, tr.AGG_CONF, tr.AGG_DYN}
+        assert kinds("aggregate") == aggregation and kinds("weighting") == {tr.AGG_DYN}
+        assert kinds("experts") == aggregation | {tr.LFME, tr.KD_ZZ, tr.KD_QZ, tr.KD_QQ,
+                                                  tr.KD_CE, tr.ERMP_W_EXPT}
+        assert tr.METHOD_KINDS == tuple(tr.METHODS)
+
+    @pytest.mark.parametrize("kind", sorted(k for k, m in tr.METHODS.items() if m.guidance))
     def test_guidance_pairs_match_formula(self, kind):
         # cross_entropy(q, y) + alpha_half * ||a - b||^2 / B, with (a, b) from the table
         rng = np.random.default_rng(7)
@@ -203,7 +213,7 @@ class TestLosses:
                   "q_expert": tr.softmax_np(rng.normal(size=(5, 4))),
                   "q_teacher": tr.softmax_np(rng.normal(size=(5, 4)))}
         named = {**guides, "y": y, "z": z, "q": q}
-        a, b = tr.GUIDANCE_PAIRS[kind]
+        a, b = tr.METHODS[kind].guidance
         expected = (-(y * np.log(q)).sum() / 5 + 0.7 * ((named[a] - named[b]) ** 2).sum() / 5)
         got = guided_loss(kind, ad.tensor(z), y, alpha_half=0.7, hard_weight_beta=0.0, **guides)
         assert abs(got.item() - expected) < 1e-12
@@ -226,7 +236,7 @@ class TestGradientIdentity:
             y = one_hot(rng.integers(k, size=1), k)
             qe = tr.softmax_np(rng.normal(size=(1, k)))
             alpha = float(rng.uniform(0.01, 10))
-            loss = tr.loss_lfme(z, y, qe, alpha / 2.0)
+            loss = guided_loss(tr.LFME, z, y, alpha_half=alpha / 2.0, q_expert=qe)
             ad.backward(loss)
             q = tr.softmax_np(z.data)
             expected = q - y + alpha * (z.data - qe)
@@ -384,19 +394,6 @@ class TestFlatOptimizers:
         for cls in (tr.SgdMomentum, tr.Adam):
             with pytest.raises(ValueError, match="twice"):
                 cls([p, ad.parameter(np.ones(1)), p], lr=0.1)
-
-    def test_loaded_arrays_stay_attached(self):
-        model = mm.init_mlp([3, 4, 2], seed=63)
-        opt = tr.Adam(model.parameters(), lr=0.1)
-        loaded = [np.full(p.data.shape, 0.25) for p in model.parameters()]
-        model.load_param_arrays(loaded)
-        for p, a in zip(model.parameters(), loaded):
-            assert np.shares_memory(p.data, opt.data) and np.array_equal(p.data, a)
-        for p in model.parameters():
-            p.grad[...] = 1.0
-        opt.step()
-        for p, a in zip(model.parameters(), loaded):
-            assert np.allclose(p.data, a - 0.1)
 
     @pytest.mark.parametrize("cls", [tr.SgdMomentum, tr.Adam])
     def test_step_allocates_at_most_one_parameter_sized_buffer(self, cls):
@@ -572,7 +569,7 @@ class TestTrainLoop:
         return tr.run_method(suite[:3], tr.MethodSpec(tr.ERM), quick_config(), held_out=suite[3])
 
     @pytest.mark.parametrize("kind", [k for k in tr.METHOD_KINDS
-                                      if k != tr.ERM and k not in tr.AGG_KINDS])
+                                      if k != tr.ERM and not tr.METHODS[k].aggregate])
     def test_lfme_alpha_zero_matches_erm_bitwise(self, erm_run, kind):
         # Every guidance or smoothing weight at zero collapses a kind onto ERM, bitwise.
         suite = small_suite()
@@ -618,7 +615,7 @@ class TestTrainLoop:
         w0 = model.weights[0].data.copy()
         z = mm.forward(model, ad.tensor(x))
         z_val = z.data.copy()
-        loss = tr.loss_lfme(z, y, qe, alpha_half)
+        loss = guided_loss(tr.LFME, z, y, alpha_half=alpha_half, q_expert=qe)
         ad.backward(loss)
         q = tr.softmax_np(z_val)
         dz = q - y + 2 * alpha_half * (z_val - qe)

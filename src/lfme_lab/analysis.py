@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import train as tr
+
+HARD_EASY_FRACTION = 1.0 / 3.0
 
 
 class AnalysisError(Exception):
@@ -76,15 +77,15 @@ def classification_ratio_rows(probs: np.ndarray, stars: np.ndarray) -> np.ndarra
     return pbar[np.arange(len(stars)), stars]
 
 
-def split_hard_easy(expert_losses: np.ndarray, fraction: float = 1.0 / 3.0):
+def split_hard_easy(expert_losses: np.ndarray):
     """Indices of the largest-loss (hard) and smallest-loss (easy) samples.
 
-    Both groups take ceil(fraction * B) entries; ties resolve by index.
+    Both groups take ceil(HARD_EASY_FRACTION * B) entries; ties resolve by index.
     """
     losses = np.asarray(expert_losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise AnalysisError("need a nonempty 1-D loss vector")
-    n = math.ceil(fraction * losses.size)
+    n = math.ceil(HARD_EASY_FRACTION * losses.size)
     order_desc = np.lexsort((np.arange(losses.size), -losses))
     order_asc = np.lexsort((np.arange(losses.size), losses))
     return np.sort(order_desc[:n]), np.sort(order_asc[:n])
@@ -97,8 +98,8 @@ class EvalReport:
     ratio_easy_trace: list
 
 
-def report_from_run(run: tr.RunResult) -> EvalReport:
-    """Trace how the run classifies the probe samples its experts find hard and easy.
+def report_from_run(run) -> EvalReport:
+    """Trace how a ``train.RunResult`` classifies the probe samples its experts find hard and easy.
 
     A run without experts has no hard/easy split and gets empty traces.
     """

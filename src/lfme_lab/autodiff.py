@@ -72,8 +72,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
+def tensor(data):
+    return Tensor(data)
 
 
 def parameter(data):

@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -319,6 +318,7 @@ def map_jobs(fn, payloads, jobs: int):
     if jobs == 1:
         yield from map(fn, payloads)
         return
+    from concurrent.futures import ProcessPoolExecutor     # multiprocessing costs every import
     threads = max(1, len(os.sched_getaffinity(0)) // jobs)
     with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
                              initargs=(threads,)) as pool:
@@ -374,14 +374,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_ood(path: Path) -> float | None:
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            if row["metric"] == "ood_accuracy":
-                return float(row["value"])
-    return None
-
-
 def cmd_compare(args) -> int:
     config = load_config(args)
     out = Path(config["output"])
@@ -395,11 +387,11 @@ def cmd_compare(args) -> int:
         for h in helds:
             accs = []
             for seed in config["seeds"]:
-                p = run_dir(out, name, seed, h) / "metrics.csv"
+                p = run_dir(out, name, seed, h) / "run.json"   # present once the run is complete
                 if not p.exists():
                     gaps.append(f"{name} seed={seed} held_out={h}: missing {p}")
                     continue
-                acc = _read_ood(p)
+                acc = json.loads(p.read_text())["ood_accuracy"]
                 if acc is None:
                     gaps.append(f"{name} seed={seed} held_out={h}: no ood_accuracy in {p}")
                     continue
@@ -530,8 +522,8 @@ def cmd_sweep(args) -> int:
     helds = train_jobs(configs, 1)[0]     # every grid value holds out the same domains
     rows = []
     for a, cfg in zip(grid, configs):
-        accs = [_read_ood(run_dir(Path(cfg["output"]), LFME, seed, h) / "metrics.csv")
-                for h in helds]
+        accs = [json.loads((run_dir(Path(cfg["output"]), LFME, seed, h) / "run.json").read_text())
+                ["ood_accuracy"] for h in helds]
         rows.append([a, float(np.mean(accs)), *accs])
     header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in helds]
     write_csv(out / "sweep.csv", header, [[fmt(v) for v in r] for r in rows])

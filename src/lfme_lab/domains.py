@@ -101,7 +101,7 @@ def _random_rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def _stratified_split(labels: np.ndarray, rng: np.random.Generator):
     train, val = [], []
-    for k in np.unique(labels):
+    for k in np.flatnonzero(np.bincount(labels)):     # np.unique would import numpy.ma
         idx = np.flatnonzero(labels == k)
         idx = rng.permutation(idx)
         n_val = int(round(VAL_FRACTION * len(idx)))
@@ -142,7 +142,6 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
                 (spec.n_per_domain, spec.d_spu))
             features = np.concatenate([x_inv, x_spu], axis=1)
         else:
-            spur_class = labels.copy()
             features = x_inv
         train_idx, val_idx = _stratified_split(labels, rng)
         datasets.append(DomainDataset(
@@ -153,13 +152,7 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
             train_idx=train_idx,
             val_idx=val_idx,
             n_classes=spec.n_classes,
-            meta={
-                "spec": spec,
-                "rotation": rotations[m],
-                "spurious_class": spur_class.astype(np.int64),
-                "class_means": means,
-                "held_out_style": m == spec.n_domains,
-            },
+            meta={"spec": spec, "rotation": rotations[m], "class_means": means},
         ))
     return datasets
 
@@ -183,11 +176,11 @@ def spurious_label_correlation(ds: DomainDataset) -> float:
     return (match - 1.0 / k) / (1.0 - 1.0 / k)
 
 
-def load_csv_suite(path, domain_column, label_column, standardize=True) -> list[DomainDataset]:
+def load_csv_suite(path, domain_column, label_column) -> list[DomainDataset]:
     """One DomainDataset per distinct domain value of a numeric-feature CSV.
 
     Features are standardized to zero mean and unit variance over the pooled
-    rows unless ``standardize`` is off (used by round-trip checks).
+    rows; a constant column is only centered.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -236,11 +229,10 @@ def load_csv_suite(path, domain_column, label_column, standardize=True) -> list[
     if len(distinct_domains) < 2:
         raise DataError(f"{path}: need at least 2 distinct domains, got {distinct_domains}")
 
-    if standardize:
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        std[std == 0.0] = 1.0
-        features = (features - mean) / std
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    features = (features - mean) / std
 
     datasets = []
     dom_arr = np.asarray(domains_col)
@@ -257,7 +249,6 @@ def load_csv_suite(path, domain_column, label_column, standardize=True) -> list[
             train_idx=train_idx,
             val_idx=val_idx,
             n_classes=k,
-            meta={"source": str(path), "domain_value": dom},
         ))
     return datasets
 

@@ -1,9 +1,10 @@
 """Optimizers, the training-method registry, and the joint training loop.
 
 One loop covers every method: per-domain experts trained on their own
-minibatches, a target model trained on the concatenated batch with a
-method-specific guidance term, and (for the dynamic aggregation baseline)
-a domain-weighting network, all updated by a single shared optimizer.
+minibatches and at most one head trained on the concatenated batch, all
+updated by a single shared optimizer. The head is the target model, with a
+method-specific guidance term, or for the dynamic aggregation baseline the
+domain-weighting network, an erm classifier of each row's source domain.
 """
 
 from __future__ import annotations
@@ -174,31 +175,31 @@ class FlatStorage:
 
 
 class SgdMomentum(FlatStorage):
-    def __init__(self, params, lr, weight_decay=0.0, momentum=0.9):
+    MOMENTUM = 0.9
+
+    def __init__(self, params, lr, weight_decay=0.0):
         super().__init__(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.momentum = momentum
         self.velocity = np.zeros_like(self.data)
 
     def step(self):
         self._attach()
         g, v = self.grad, self.velocity
         g += np.multiply(self.data, self.weight_decay)      # the step's one temporary
-        v *= self.momentum
+        v *= self.MOMENTUM
         v += g
         np.multiply(v, self.lr, out=g)
         self.data -= g
 
 
 class Adam(FlatStorage):
-    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
         super().__init__(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
@@ -209,21 +210,21 @@ class Adam(FlatStorage):
         # p -= lr*(m/bias1) / (sqrt(v/bias2) + eps).
         self._attach()
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        bias1 = 1.0 - self.BETA1 ** self.t
+        bias2 = 1.0 - self.BETA2 ** self.t
         g, m, v = self.grad, self.m, self.v
         tmp = np.multiply(self.data, self.weight_decay)      # the step's one temporary
         g += tmp
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        v *= self.BETA2
+        np.multiply(g, 1.0 - self.BETA2, out=tmp)
         tmp *= g
         v += tmp
         np.divide(v, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += self.EPS
         np.divide(m, bias1, out=g)
         g *= self.lr
         g /= tmp
@@ -337,12 +338,13 @@ def aggregate_predict(kind: str, experts: list[mm.MlpModel],
     raise ConfigError(f"not an aggregation kind: {kind!r}")
 
 
-def predicted_labels(kind: str, target: mm.MlpModel | None, experts: list[mm.MlpModel] | None,
-                     weighting: mm.MlpModel | None, x: np.ndarray) -> np.ndarray:
-    """Each row's class: the argmax of the aggregate for an aggregation kind, else of the target."""
+def predicted_labels(kind: str, head: mm.MlpModel | None, experts: list[mm.MlpModel] | None,
+                     x: np.ndarray) -> np.ndarray:
+    """Each row's class: the argmax of the aggregate for an aggregation kind, whose head is
+    the weighting net or None, else of the head, the target."""
     if METHODS[kind].aggregate:
-        return aggregate_predict(kind, experts, weighting, x).argmax(axis=1)
-    return mm.forward_array(target, x).argmax(axis=1)
+        return aggregate_predict(kind, experts, head, x).argmax(axis=1)
+    return mm.forward_array(head, x).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,6 @@ class RunResult:
     method: MethodSpec
     config: TrainConfig
     source_ids: list[int]
-    held_out_id: int | None
     loss_trace: np.ndarray
     target_loss_trace: np.ndarray
     evals: list[EvalPoint]
@@ -509,8 +510,8 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
               teacher: mm.MlpModel | None = None) -> RunResult:
     """Train one method on the given source domains.
 
-    Experts, the target model, and (for dynamic aggregation) the weighting
-    network are updated by one shared optimizer, every step, from one joint
+    The experts and the run's one head (the target, or agg_dyn's weighting
+    network) are updated by one shared optimizer, every step, from one joint
     scalar loss. Expert probabilities entering any guidance term are
     detached first.
 
@@ -546,13 +547,19 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     if method.kind == LFME_GUID and teacher is None:
         raise ConfigError("lfme_guid needs a frozen teacher model")
 
-    target = mm.init_mlp(dims, [config.seed, 11, 0]) if not method_kind.aggregate else None
+    # The one head ``target_loss`` trains: the target, or agg_dyn's weighting net as erm on
+    # each row's source-domain position. The other aggregation kinds train none.
+    head, head_method, head_y = None, method, None
+    if method_kind.weighting:
+        head = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0])
+        head_method = MethodSpec(ERM)
+        head_y = one_hot(np.repeat(np.arange(n_src), config.batch_per_domain), n_src)
+    elif not method_kind.aggregate:
+        head = mm.init_mlp(dims, [config.seed, 11, 0])
     stacked = (mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i]) for i in range(n_src)])
                if method_kind.experts else None)
-    weighting = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0]) \
-        if method_kind.weighting else None
 
-    params = [p for m in (stacked, target, weighting) if m is not None for p in m.parameters()]
+    params = [p for m in (stacked, head) if m is not None for p in m.parameters()]
     opt = make_optimizer(params, config)
     # Per-expert views of the stacked storage the optimizer now owns.
     experts = mm.unstack(stacked) if stacked is not None else None
@@ -561,9 +568,6 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     ramp = method.ramp_steps if method.ramp_steps is not None else config.steps // 2
 
     pooled_val_x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
-    # The weighting network's labels: each row's source-domain position.
-    dom_1h = (one_hot(np.repeat(np.arange(n_src), config.batch_per_domain), n_src)
-              if weighting is not None else None)
 
     loss_trace = np.zeros(config.steps)
     target_loss_trace = np.zeros(config.steps)
@@ -588,21 +592,19 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
             z_expert_rows = z_e.data.reshape(-1, k)
             expert_sample_losses = rows_e.data.reshape(-1)
 
-        if weighting is not None:
-            zw = mm.forward(weighting, ad.tensor(batch.x_all))
-            terms.append(ad.cross_entropy(ad.softmax(zw), dom_1h, _validate=False))
-
         target_loss_val = float("nan")
-        if target is not None:
-            z = mm.forward(target, ad.tensor(batch.x_all))
-            guides = {"y": y_all_1h, "q_expert": q_expert_rows, "z_expert": z_expert_rows,
+        if head is not None:
+            z = mm.forward(head, ad.tensor(batch.x_all))
+            guides = {"y": y_all_1h if head_y is None else head_y,
+                      "q_expert": q_expert_rows, "z_expert": z_expert_rows,
                       "expert_losses": expert_sample_losses,
                       "kd_ce_weight": kd_weight(method.alpha_half, step, ramp)}
             if teacher is not None:
                 guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
-            t_loss = target_loss(method, z, guides, _validate=False)
+            t_loss = target_loss(head_method, z, guides, _validate=False)
             terms.append(t_loss)
-            target_loss_val = t_loss.item()
+            if not method_kind.aggregate:
+                target_loss_val = t_loss.item()
 
         loss = terms[0]
         for t in terms[1:]:
@@ -619,18 +621,17 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         target_loss_trace[step] = target_loss_val
 
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
-            ev, q_expert = _evaluate(step, sources, method, target, experts, weighting,
-                                     probe, pooled_val_x, target_loss_val)
+            ev, q_expert = _evaluate(step, sources, method, head, experts, probe,
+                                     pooled_val_x, target_loss_val)
             evals.append(ev)
             expert_probe_probs.append(q_expert)
 
-    del target, stacked, experts, weighting, params, p      # score from the records alone
+    del head, stacked, experts, params, p       # score from the records alone
     selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
     result = RunResult(
         method=method, config=config,
         source_ids=[ds.domain_id for ds in sources],
-        held_out_id=held_out.domain_id if held_out is not None else None,
         loss_trace=loss_trace, target_loss_trace=target_loss_trace,
         evals=evals, selected_index=selected_index, probe=probe,
     )
@@ -640,16 +641,16 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         result.expert_probe_losses = ad.cross_entropy_rows(
             ad.tensor(q_expert), one_hot(probe.y, k), _validate=False).data
     if held_out is not None:
-        agg, w = method_kind.aggregate, result.selected.weighting_params
-        pred = predicted_labels(method.kind, result.selected_target_model(),
-                                result.selected_expert_models() if agg else None,
-                                None if w is None else mm.model_from_arrays(w),
+        agg, sel = method_kind.aggregate, result.selected
+        arrays = sel.weighting_params if agg else sel.target_params
+        head = None if arrays is None else mm.model_from_arrays(arrays)
+        pred = predicted_labels(method.kind, head, result.selected_expert_models() if agg else None,
                                 held_out.features)
         result.ood_accuracy = float(np.mean(pred == held_out.labels))
     return result
 
 
-def _evaluate(step, sources, method, target, experts, weighting, probe,
+def _evaluate(step, sources, method, head, experts, probe,
               pooled_val_x, target_loss_val) -> tuple[EvalPoint, np.ndarray | None]:
     """One eval point of the live models, and the experts' probe probabilities.
 
@@ -660,17 +661,18 @@ def _evaluate(step, sources, method, target, experts, weighting, probe,
     """
     train_acc, val_acc = {}, {}
     for ds in sources:
-        pred = predicted_labels(method.kind, target, experts, weighting, ds.features)
+        pred = predicted_labels(method.kind, head, experts, ds.features)
         train_acc[ds.domain_id] = float(np.mean(pred[ds.train_idx] == ds.labels[ds.train_idx]))
         val_acc[ds.domain_id] = float(np.mean(pred[ds.val_idx] == ds.labels[ds.val_idx]))
-    if METHODS[method.kind].aggregate:
-        probe_probs = aggregate_predict(method.kind, experts, weighting, probe.x)
+    agg = METHODS[method.kind].aggregate
+    if agg:
+        probe_probs = aggregate_predict(method.kind, experts, head, probe.x)
         probe_logits = np.log(np.maximum(probe_probs, ad.LOG_FLOOR))
         val_entropy = float("nan")
     else:
-        probe_logits = mm.forward_array(target, probe.x)
+        probe_logits = mm.forward_array(head, probe.x)
         probe_probs = softmax_np(probe_logits)
-        val_entropy = an.entropy(softmax_np(mm.forward_array(target, pooled_val_x)))
+        val_entropy = an.entropy(softmax_np(mm.forward_array(head, pooled_val_x)))
 
     expert_val_acc, q_expert, rescale_f, rescale_fp = {}, None, None, None
     if experts is not None:
@@ -694,9 +696,9 @@ def _evaluate(step, sources, method, target, experts, weighting, probe,
         rescale_f=rescale_f, rescale_fp=rescale_fp,
         expert_val_acc=expert_val_acc,
         probe_probs=probe_probs,
-        target_params=target.param_arrays() if target is not None else None,
+        target_params=None if agg else head.param_arrays(),
         expert_params=[e.param_arrays() for e in experts] if experts is not None else None,
-        weighting_params=weighting.param_arrays() if weighting is not None else None,
+        weighting_params=head.param_arrays() if agg and head is not None else None,
     ), q_expert
 
 

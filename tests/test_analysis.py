@@ -101,7 +101,7 @@ class TestSplitHardEasy:
         assert easy.tolist() == [0, 1]
 
     def test_ceil_count(self):
-        hard, easy = an.split_hard_easy(np.array([3.0, 1.0, 2.0]), fraction=1 / 3)
+        hard, easy = an.split_hard_easy(np.array([3.0, 1.0, 2.0]))
         assert len(hard) == 1 and hard[0] == 0
         assert len(easy) == 1 and easy[0] == 1
 

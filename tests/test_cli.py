@@ -35,6 +35,19 @@ def read_metrics(path):
         return list(csv.DictReader(f))
 
 
+def fail_run_json_write(monkeypatch):
+    """Make ``execute_job``'s last write, ``run.json``, fail part way through."""
+    dump = json.dump
+
+    def dump_then_fail(obj, f, **kw):
+        if "selected_step" not in obj:
+            return dump(obj, f, **kw)
+        f.write('{"method": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+
+
 class TestGen:
     def test_writes_all_domains(self, tmp_path):
         cfg, config = write_config(tmp_path)
@@ -57,9 +70,14 @@ class TestGen:
             text = f.read_text().splitlines()
             lines.extend(text if i == 0 else text[1:])
         merged.write_text("\n".join(lines) + "\n")
-        loaded = load_csv_suite(merged, "domain", "label", standardize=False)
-        for ds, orig in zip(loaded, suite):
-            assert np.allclose(ds.features, orig.features, rtol=0, atol=0)
+        loaded = load_csv_suite(merged, "domain", "label")
+        # The loader standardizes over the pooled rows, so the written values must come
+        # back exactly: the same arithmetic on the same numbers.
+        pooled = np.concatenate([orig.features for orig in suite])
+        pooled = (pooled - pooled.mean(axis=0)) / pooled.std(axis=0)
+        starts = np.cumsum([0] + [len(orig.labels) for orig in suite])
+        for ds, orig, start in zip(loaded, suite, starts):
+            assert np.array_equal(ds.features, pooled[start:start + len(orig.labels)])
             assert np.array_equal(ds.labels, orig.labels)
 
 
@@ -216,15 +234,7 @@ class TestTrain:
 
     def test_failed_run_json_write_leaves_no_run_json(self, tmp_path, monkeypatch):
         _, config = write_config(tmp_path)
-        dump = json.dump
-
-        def dump_then_fail(obj, f, **kw):
-            if "selected_step" not in obj:
-                return dump(obj, f, **kw)
-            f.write('{"method": ')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+        fail_run_json_write(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             cli.execute_job(config, {"kind": "erm"}, 0, 2)
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
@@ -281,6 +291,22 @@ class TestCompare:
         assert cli.main(["compare", "-c", str(cfg)]) == 0
         err = capsys.readouterr().err
         assert "missing run" in err and "ls" in err
+
+    def test_run_without_run_json_is_missing(self, tmp_path, capsys, monkeypatch):
+        # A run directory is complete only once it holds run.json.
+        cfg, config = write_config(tmp_path, methods=[{"kind": "erm"}, {"kind": "ls"}])
+        assert cli.main(["train", "-c", str(cfg), "--method", "erm"]) == 0
+        with monkeypatch.context() as patch:
+            fail_run_json_write(patch)
+            with pytest.raises(OSError, match="disk full"):
+                cli.execute_job(config, {"kind": "ls"}, 0, 2)
+        rdir = cli.run_dir(tmp_path / "out", "ls", 0, 2)
+        assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
+        capsys.readouterr()
+        assert cli.main(["compare", "-c", str(cfg)]) == 0
+        assert "missing run: ls seed=0 held_out=2" in capsys.readouterr().err
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            assert list(csv.reader(f))[2] == ["ls", "", ""]
 
 
 class TestAnalyze:
@@ -397,8 +423,8 @@ class TestSweep:
         assert [r["alpha_half"] for r in rows] == ["0.0", "1.0"]
         erm_out = tmp_path / "erm_out"
         assert cli.main(["train", "-c", str(cfg), "-o", str(erm_out)]) == 0
-        erm = [cli._read_ood(cli.run_dir(erm_out, "erm", 0, h) / "metrics.csv")
-               for h in range(3)]
+        erm = [json.loads((cli.run_dir(erm_out, "erm", 0, h) / "run.json").read_text())
+               ["ood_accuracy"] for h in range(3)]
         assert [float(rows[0][f"ood_acc_domain{h}"]) for h in range(3)] == erm
         assert float(rows[0]["mean_ood_accuracy"]) == float(np.mean(erm))
 

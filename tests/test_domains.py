@@ -75,7 +75,7 @@ class TestCsv:
 
     def test_two_rows_two_domains(self, tmp_path):
         p = self.write(tmp_path, "f0,f1,domain,label\n1.0,2.0,a,0\n3.0,4.0,b,1\n")
-        suite = load_csv_suite(p, "domain", "label", standardize=False)
+        suite = load_csv_suite(p, "domain", "label")
         assert len(suite) == 2
         assert all(len(ds.labels) == 1 for ds in suite)
 

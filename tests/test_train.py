@@ -262,7 +262,7 @@ class TestOptimizers:
 
     def test_sgd_momentum_two_steps(self):
         p = ad.parameter(np.array([0.0]))
-        opt = tr.SgdMomentum([p], lr=0.1, momentum=0.9)
+        opt = tr.SgdMomentum([p], lr=0.1)
         p.grad = np.array([1.0])
         opt.step()
         assert abs(p.data[0] + 0.1) < 1e-15          # v=1
@@ -272,7 +272,7 @@ class TestOptimizers:
 
     def test_weight_decay_coupled(self):
         p = ad.parameter(np.array([2.0]))
-        opt = tr.SgdMomentum([p], lr=1.0, weight_decay=0.5, momentum=0.0)
+        opt = tr.SgdMomentum([p], lr=1.0, weight_decay=0.5)
         p.grad = np.array([0.0])
         opt.step()
         assert abs(p.data[0] - 1.0) < 1e-15
@@ -333,7 +333,7 @@ def joint_backward(models, step):
 class TestFlatOptimizers:
     @pytest.mark.parametrize("flat_cls, ref_cls, kw", [
         (tr.Adam, RefAdam, dict(lr=0.05, weight_decay=1e-2)),
-        (tr.SgdMomentum, RefSgdMomentum, dict(lr=0.05, weight_decay=1e-2, momentum=0.9)),
+        (tr.SgdMomentum, RefSgdMomentum, dict(lr=0.05, weight_decay=1e-2)),
     ])
     def test_bitwise_equal_to_per_tensor_reference(self, flat_cls, ref_cls, kw):
         flat_models, ref_models = joint_models(), joint_models()
@@ -366,14 +366,14 @@ class TestFlatOptimizers:
     def test_grad_present_at_construction_is_kept(self):
         p = ad.parameter(np.array([1.0, 2.0]))
         p.grad = np.array([0.5, -1.0])
-        opt = tr.SgdMomentum([p], lr=1.0, momentum=0.0)
+        opt = tr.SgdMomentum([p], lr=1.0)
         assert np.array_equal(p.grad, [0.5, -1.0])
         opt.step()
         assert np.array_equal(p.data, [0.5, 3.0])
 
     def test_assigned_grad_and_data_are_copied_in(self):
         p = ad.parameter(np.zeros(3))
-        opt = tr.SgdMomentum([p], lr=1.0, momentum=0.0)
+        opt = tr.SgdMomentum([p], lr=1.0)
         p.data = np.array([1.0, 1.0, 1.0])
         p.grad = np.array([1.0, 2.0, 3.0])
         opt.step()
@@ -621,7 +621,7 @@ class TestTrainLoop:
         dz = q - y + 2 * alpha_half * (z_val - qe)
         expected_wgrad = x.T @ dz
         assert np.allclose(model.weights[0].grad, expected_wgrad, atol=1e-12)
-        opt = tr.SgdMomentum(model.parameters(), lr=0.1, momentum=0.0)
+        opt = tr.SgdMomentum(model.parameters(), lr=0.1)
         opt.step()
         assert np.allclose(model.weights[0].data, w0 - 0.1 * expected_wgrad, atol=1e-15)
 

@@ -107,8 +107,6 @@ def report_from_run(run) -> EvalReport:
     if run.expert_probe_losses is not None:
         hard_idx, easy_idx = split_hard_easy(run.expert_probe_losses)
         for ev in run.evals:
-            if ev.probe_probs is None:
-                continue
             ratios = classification_ratio_rows(ev.probe_probs, run.probe.y)
             ratio_hard.append(float(ratios[hard_idx].mean()))
             ratio_easy.append(float(ratios[easy_idx].mean()))

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,6 @@ ALL_METHODS_PRESET = [
     {"kind": "agg_avg"}, {"kind": "agg_ms"}, {"kind": "agg_conf"}, {"kind": "agg_dyn"},
     {"kind": "self_guid"}, {"kind": "ermp_w_expt"}, {"kind": "ermp_w_self"},
 ]
-
-SUITE_KEYS, TRAIN_KEYS, METHOD_KEYS = ({f.name for f in fields(spec)}
-                                      for spec in (SuiteSpec, TrainConfig, MethodSpec))
 
 
 class CliError(Exception):
@@ -96,6 +93,8 @@ def load_config(args) -> dict:
             except ValueError:
                 raise CliError(f"{source} must be comma-separated integers, got {raw!r}") from None
 
+    if not isinstance(config["output"], str):
+        raise CliError(f"config.output must be a path string, got {config['output']!r}")
     validate_config(config)
     return config
 
@@ -116,6 +115,12 @@ def _check_sections(config: dict):
 
 
 def validate_config(config: dict):
+    """Check ``seeds``, ``held_out`` and the ``methods`` and ``train`` values, or raise.
+
+    Each method and each seed's train config is built, so a malformed value fails
+    with the error of the spec that owns it. The suite values are checked where the
+    suite is built (``build_suite``), and ``output`` in ``load_config``.
+    """
     _check_sections(config)
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(
@@ -126,26 +131,15 @@ def validate_config(config: dict):
             and len(set(held_out)) == len(held_out)):
         raise CliError('config.held_out must be "all", "last" or a list of distinct domain '
                        f"ids, got {held_out!r}")
-    kinds = []
+    kinds = set()
     for i, m in enumerate(config["methods"]):
-        bad = set(m) - METHOD_KEYS
-        if bad:
-            raise CliError(f"config.methods[{i}]: unknown keys {sorted(bad)}")
-        if "kind" not in m:
-            raise CliError(f"config.methods[{i}].kind is required")
-        # A list scan, not a set: a malformed kind may be unhashable.
-        if m["kind"] in kinds:
-            raise CliError(f"config.methods[{i}]: method kind {m['kind']!r} is listed twice; "
+        kind = build_method(m).kind
+        if kind in kinds:
+            raise CliError(f"config.methods[{i}]: method kind {kind!r} is listed twice; "
                            "its runs would share one directory")
-        kinds.append(m["kind"])
-    suite = config["suite"]
-    if "csv" not in suite:
-        bad = set(suite) - SUITE_KEYS
-        if bad:
-            raise CliError(f"config.suite: unknown keys {sorted(bad)}")
-    bad = set(config["train"]) - TRAIN_KEYS
-    if bad:
-        raise CliError(f"config.train: unknown keys {sorted(bad)}")
+        kinds.add(kind)
+    for seed in seeds:
+        build_train_config(config, seed)
 
 
 def build_suite(config: dict, seed: int | None = None):
@@ -347,16 +341,12 @@ def cmd_gen(args) -> int:
 def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
     """Train every method x seed x held-out job of each config through one ``map_jobs``.
 
-    Every config's values are checked before anything is written; then each
-    config's ``config.json`` is written. Returns each config's held-out ids.
+    Every config must have passed ``validate_config``. Each config's suite is
+    built before anything is written; then each config's ``config.json`` is
+    written. Returns each config's held-out ids.
     """
-    helds = []
-    for config in configs:
-        helds.append(held_out_ids(config, build_suite(config, seed=config["seeds"][0])))
-        for seed in config["seeds"]:
-            build_train_config(config, seed)
-        for m in config["methods"]:
-            build_method(m)
+    helds = [held_out_ids(config, build_suite(config, seed=config["seeds"][0]))
+             for config in configs]
     for config in configs:
         mm.atomic_write(Path(config["output"]) / "config.json",
                         lambda f: json.dump(config, f, indent=2))

@@ -30,7 +30,11 @@ def require_finite(obj, names, kind=numbers.Real, error=DataError):
     """Raise ``error`` naming the first field of ``obj`` that is not a finite ``kind``."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, kind) or not np.isfinite(value):
+        try:
+            ok = not isinstance(value, bool) and isinstance(value, kind) and np.isfinite(value)
+        except TypeError:       # np.isfinite takes no integer past 64 bits
+            raise error(f"{name} is out of range, got {value!r}") from None
+        if not ok:
             noun = "an integer" if kind is numbers.Integral else "a finite number"
             raise error(f"{name} must be {noun}, got {value!r}")
 
@@ -114,11 +118,10 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
     """M source domains plus one domain with a fresh spurious rotation."""
     spec.validate()
     root = np.random.SeedSequence(spec.seed)
-    mean_rng = np.random.default_rng(root.spawn(1)[0])
     means = _class_means(spec.n_classes, spec.d_inv)
 
     rotations = []
-    rot_rng = np.random.default_rng(root.spawn(1)[0])
+    rot_rng = np.random.default_rng(root.spawn(2)[1])
     for _ in range(spec.n_domains):
         rotations.append(_random_rotation(rot_rng, spec.d_spu, spec.d_inv))
     # Held-out rotation must be far from every source rotation.

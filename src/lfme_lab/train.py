@@ -88,7 +88,7 @@ class MethodSpec:
     hard_weight_beta: float = 1.0
 
     def validate(self):
-        if self.kind not in METHODS:
+        if not isinstance(self.kind, str) or self.kind not in METHODS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
         require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"), error=ConfigError)
         if self.ramp_steps is not None:
@@ -378,8 +378,6 @@ class Probe:
 
 @dataclass
 class RunResult:
-    method: MethodSpec
-    config: TrainConfig
     source_ids: list[int]
     loss_trace: np.ndarray
     target_loss_trace: np.ndarray
@@ -630,7 +628,6 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
     result = RunResult(
-        method=method, config=config,
         source_ids=[ds.domain_id for ds in sources],
         loss_trace=loss_trace, target_loss_trace=target_loss_trace,
         evals=evals, selected_index=selected_index, probe=probe,

@@ -199,6 +199,7 @@ class TestTrain:
         ("suite.n_classes=\"3\"", "n_classes"),
         ("methods=[{\"kind\": \"kd_ce\", \"ramp_steps\": \"x\"}]", "ramp_steps"),
         ("methods=[1]", "config.methods[0]"),
+        ('methods=[{"kind": []}]', "method kind"),
         ("methods={\"kind\": \"erm\"}", "config.methods must be"),
         ("train=5", "config.train"),
         ("suite=5", "config.suite"),
@@ -393,6 +394,24 @@ class TestConfigHandling:
         loaded = cli.load_config(args)
         assert len(loaded["methods"]) == len(cli.ALL_METHODS_PRESET) > 1
         assert all(m["alpha_half"] == 0.5 for m in loaded["methods"])
+
+    @pytest.mark.parametrize("command", ["train", "compare", "gen"])
+    @pytest.mark.parametrize("override, key", [
+        (f"suite.noise={10 ** 22}", "noise"),
+        (f"suite.n_classes={10 ** 22}", "n_classes"),
+        (f"seeds=[{10 ** 22}]", "seed"),
+        ("output=5", "config.output"),
+        ('methods=[{"kind": 0}]', "kind"),
+    ])
+    def test_every_command_rejects_a_malformed_value(self, tmp_path, capsys, monkeypatch,
+                                                     command, override, key):
+        # Run in tmp_path, so a relative output such as "5" would land there.
+        cfg, _ = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "-c", str(cfg), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_all_methods_preset_is_every_kind_but_lfme_guid(self):
         # lfme_guid trains an lfme teacher first, so "all" leaves it out.

@@ -1,22 +1,27 @@
-"""Property tests: a JSON value under any known config key makes ``lfme train`` run
-(exit 0) or report a configuration error (exit 1), never fail with exit 2; so does any
-``alpha_grid`` value under ``lfme sweep``."""
+"""Property tests: a JSON value under any known config key makes ``lfme train``,
+``compare`` or ``gen`` succeed (exit 0) or report a configuration error (exit 1), never
+fail with exit 2; so does any ``alpha_grid`` value under ``lfme sweep``."""
 
 import json
 import tempfile
+from dataclasses import fields
 
 import pytest
 
 from lfme_lab import cli
+from lfme_lab.domains import SuiteSpec
+from lfme_lab.train import MethodSpec, TrainConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # Every key a config may set, except suite.csv and its column names (CSV ingestion).
+# ``exit_code`` always passes --output, so a drawn ``output`` value never names a real path.
 KEYS = (["suite", "train", "methods", "seeds", "held_out", "output", "alpha_grid"]
-        + [f"suite.{k}" for k in sorted(cli.SUITE_KEYS)]
-        + [f"train.{k}" for k in sorted(cli.TRAIN_KEYS)]
-        + [f"methods[0].{k}" for k in sorted(cli.METHOD_KEYS)])
+        + [f"{section}.{f.name}" for section, spec in
+           (("suite", SuiteSpec), ("train", TrainConfig), ("methods[0]", MethodSpec))
+           for f in sorted(fields(spec), key=lambda f: f.name)])
+COMMANDS = ["train", "compare", "gen"]
 
 # Small integers keep a generated suite or network small enough to train in milliseconds.
 # Integers and integer lists are drawn as often as all other JSON values together, since
@@ -51,12 +56,14 @@ def test_base_run_trains():
     assert exit_code("train") == 0
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(key=st.sampled_from(KEYS), value=JSON_VALUES)
-@example(key="seeds", value=[0, -1])                 # once a raw ValueError from SeedSequence
-@example(key="train.probe_per_domain", value=-1)     # once a raw ValueError from rng.choice
-def test_any_value_under_a_known_key_is_a_run_or_a_config_error(key, value):
-    assert exit_code("train", set_arg(key, value)) in (0, 1)
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(command=st.sampled_from(COMMANDS), key=st.sampled_from(KEYS), value=JSON_VALUES)
+@example(command="train", key="seeds", value=[0, -1])  # once a raw ValueError from SeedSequence
+@example(command="train", key="train.probe_per_domain", value=-1)   # once a ValueError from rng.choice
+@example(command="compare", key="methods[0].kind", value=0)     # once a TypeError joining paths
+@example(command="train", key="suite.noise", value=10 ** 22)    # once a TypeError from np.isfinite
+def test_any_value_under_a_known_key_is_a_run_or_a_config_error(command, key, value):
+    assert exit_code(command, set_arg(key, value)) in (0, 1)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -124,8 +124,9 @@ def validate_config(config: dict):
     _check_sections(config)
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(
-            type(s) is int and s >= 0 for s in seeds):
-        raise CliError(f"config.seeds must be a nonempty list of integers >= 0, got {seeds!r}")
+            type(s) is int and 0 <= s < 2 ** 64 for s in seeds):
+        raise CliError("config.seeds must be a nonempty list of integers in [0, 2**64), "
+                       f"got {seeds!r}")
     if held_out not in ("all", "last") and not (
             isinstance(held_out, list) and all(type(h) is int for h in held_out)
             and len(set(held_out)) == len(held_out)):
@@ -343,15 +344,18 @@ def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
 
     Every config must have passed ``validate_config``. Each config's suite is
     built before anything is written; then each config's ``config.json`` is
-    written. Returns each config's held-out ids.
+    written. The jobs run ordered by (seed, held-out id), so the jobs that train
+    the same experts run one after another and replay them from the expert memo
+    (README "Expert memo"). Returns each config's held-out ids.
     """
     helds = [held_out_ids(config, build_suite(config, seed=config["seeds"][0]))
              for config in configs]
     for config in configs:
         mm.atomic_write(Path(config["output"]) / "config.json",
                         lambda f: json.dump(config, f, indent=2))
-    payloads = [(config, m, seed, h) for config, hs in zip(configs, helds)
-                for m in config["methods"] for seed in config["seeds"] for h in hs]
+    payloads = sorted(((config, m, seed, h) for config, hs in zip(configs, helds)
+                       for m in config["methods"] for seed in config["seeds"] for h in hs),
+                      key=lambda payload: payload[2:])
     for done in map_jobs(_job_wrapper, payloads, jobs):
         print(f"finished {done}")
     return helds

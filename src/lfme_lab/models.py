@@ -64,8 +64,8 @@ def init_mlp(layer_dims, seed) -> MlpModel:
 
 
 def model_from_arrays(arrays) -> MlpModel:
-    """An MLP holding copies of parameter arrays (weight, bias, ...); dims read off them."""
-    params = [ad.parameter(np.array(a, dtype=np.float64)) for a in arrays]
+    """An MLP over parameter arrays (weight, bias, ...), not copies; dims read off them."""
+    params = [ad.parameter(a) for a in arrays]
     shapes = [p.data.shape for p in params]
     dims = [*shapes[0][:1], *(s[-1] for s in shapes[1::2] if s)] if shapes else []
     chained = [s for fan_in, fan_out in zip(dims, dims[1:])

@@ -5,12 +5,22 @@ minibatches and at most one head trained on the concatenated batch, all
 updated by a single shared optimizer. The head is the target model, with a
 method-specific guidance term, or for the dynamic aggregation baseline the
 domain-weighting network, an erm classifier of each row's source domain.
+
+The experts never see the head, so their trajectory is the same for every
+method trained on the same data and config. The last run that trains them
+records it (logits and loss term per step, parameters per eval point), and a
+later run with the same data and config replays it instead of training them
+again (README "Expert memo").
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
+import hashlib
+import math
+import mmap
 import numbers
 import os
 from collections import namedtuple
@@ -73,6 +83,11 @@ DEFAULT_HIDDEN = (64, 64)
 # BLAS thread: below it a second thread costs more in hand-off and spin-waiting than
 # it saves (README "CLI" has the 1-vs-2-thread sweep behind the value).
 SERIAL_BLAS_MADDS = 1 << 20
+
+# A run keeps its experts' trajectory for later runs only if it takes at most this many
+# bytes: logits [steps, M*B, K] and one loss term per step, plus the parameters at each
+# eval point (README "Expert memo").
+EXPERT_MEMO_BYTES = 64 << 20
 
 
 class ConfigError(Exception):
@@ -500,6 +515,60 @@ def step_matmul_madds(n_sources: int, config: TrainConfig, dims) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The expert memo
+
+# The expert trajectory of the last run that trained experts, under its ``expert_key``:
+# ``logits`` [steps, M*B, K] and ``terms`` [steps] of every step, and ``params``, the
+# experts' parameter arrays at each eval point. All arrays are read-only. At most one entry.
+ExpertTrajectory = namedtuple("ExpertTrajectory", "logits terms params")
+_expert_memo: dict[str, ExpertTrajectory] = {}
+
+
+def expert_key(sources: list[DomainDataset], config: TrainConfig, dims) -> str:
+    """SHA-256 over everything the experts' trajectory reads: each source's features,
+    labels, train split and id, the layer dims and every ``TrainConfig`` field."""
+    h = hashlib.sha256()
+    for ds in sources:
+        for a in (ds.features, ds.labels, ds.train_idx):
+            h.update(f"{a.dtype.str}{a.shape};".encode())
+            h.update(np.ascontiguousarray(a))
+        h.update(f"{ds.domain_id};".encode())
+    config = dataclasses.replace(config, hidden_dims=tuple(config.hidden_dims))
+    h.update(repr((list(dims), config)).encode())
+    return h.hexdigest()
+
+
+def _mapped(shapes) -> list[np.ndarray]:
+    """Zeroed float64 arrays of the given shapes, views of one anonymous memory map.
+
+    A memo entry outlives its run. Outside the malloc heap it pins no heap pages
+    while kept, and dropping it unmaps its pages at once. With glibc 2.36, entries
+    on the heap raised perfbench's ``guided_wide`` peak RSS by 6.6 MiB, where the
+    logits a miss adds come to 1.8 MiB.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buffer = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(buffer, np.cumsum(sizes)[:-1]), shapes)]
+
+
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _recorded_params(models) -> list[list[np.ndarray]]:
+    """Read-only copies of each model's parameter arrays, in one ``_mapped`` buffer."""
+    arrays = [p.data for m in models for p in m.parameters()]
+    copies = _mapped([a.shape for a in arrays])
+    for copy, a in zip(copies, arrays):
+        copy[...] = a
+    n = len(arrays) // len(models)
+    return [_read_only(copies[i:i + n]) for i in range(0, len(copies), n)]
+
+
+# ---------------------------------------------------------------------------
 # The training loop
 
 
@@ -511,7 +580,9 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     The experts and the run's one head (the target, or agg_dyn's weighting
     network) are updated by one shared optimizer, every step, from one joint
     scalar loss. Expert probabilities entering any guidance term are
-    detached first.
+    detached first. A run whose experts' data and config match the last run
+    that trained experts replays their recorded trajectory instead; the result
+    is bitwise the same.
 
     A run whose step matmuls are all below ``SERIAL_BLAS_MADDS`` runs, evaluation
     included, on one BLAS thread; a larger one keeps the caller's count. The
@@ -530,6 +601,15 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     """``train_run``'s loop, on the thread count ``train_run`` chose.
 
+    The experts run one of two ways. On a memo miss they train live, in the
+    joint step, and the run records their logits and loss term at every step
+    into arrays allocated up front; the memo's old entry is dropped first, and
+    the new one is published only after the last step, so a run that raises
+    leaves none. A run whose record would pass ``EXPERT_MEMO_BYTES`` records
+    nothing. On a hit no expert is built, run or stepped: the recorded term
+    enters the joint loss as a constant, the guides come from the recorded
+    logits, and each eval point gets the recorded read-only parameter arrays.
+
     Once the last update is applied, the optimizer (its moments or velocity and
     the gradient buffer) is dropped and every trained parameter's ``grad`` set to
     None, so the last evaluation runs without them. After the loop the live models,
@@ -539,7 +619,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     the expert probe losses.
     """
     d, k = dims[0], dims[-1]
-    n_src = len(sources)
+    n_src, b = len(sources), config.batch_per_domain
 
     method_kind = METHODS[method.kind]
     if method.kind == LFME_GUID and teacher is None:
@@ -551,14 +631,29 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     if method_kind.weighting:
         head = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0])
         head_method = MethodSpec(ERM)
-        head_y = one_hot(np.repeat(np.arange(n_src), config.batch_per_domain), n_src)
+        head_y = one_hot(np.repeat(np.arange(n_src), b), n_src)
     elif not method_kind.aggregate:
         head = mm.init_mlp(dims, [config.seed, 11, 0])
-    stacked = (mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i]) for i in range(n_src)])
-               if method_kind.experts else None)
+
+    # The experts: replayed from the memo (``memo``), or trained live, recording their
+    # logits and loss terms (``record``) if the whole trajectory fits the cap.
+    memo = record = stacked = None
+    if method_kind.experts:
+        key = expert_key(sources, config, dims)
+        memo = _expert_memo.get(key)
+        if memo is None:
+            _expert_memo.clear()
+            n_evals = -(-config.steps // config.eval_every)
+            expert_size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+            if 8 * (config.steps * (n_src * b * k + 1) + n_evals * n_src * expert_size) \
+                    <= EXPERT_MEMO_BYTES:
+                record = ExpertTrajectory(
+                    *_mapped([(config.steps, n_src * b, k), (config.steps,)]), [])
+            stacked = mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i])
+                                       for i in range(n_src)])
 
     params = [p for m in (stacked, head) if m is not None for p in m.parameters()]
-    opt = make_optimizer(params, config)
+    opt = make_optimizer(params, config) if params else None
     # Per-expert views of the stacked storage the optimizer now owns.
     experts = mm.unstack(stacked) if stacked is not None else None
 
@@ -573,13 +668,14 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     expert_probe_probs = []             # per eval point, None without experts
 
     for step in range(config.steps):
-        batch = make_batches(sources, config.batch_per_domain, config.seed, step)
-        y_all_1h = one_hot(batch.y_all, k)
         terms = []
-
         q_expert_rows = None
         z_expert_rows = None
         expert_sample_losses = None
+        if params:                      # a replayed run without a head needs no batch
+            batch = make_batches(sources, b, config.seed, step)
+            y_all_1h = one_hot(batch.y_all, k)
+
         if stacked is not None:
             z_e = mm.forward(stacked, ad.tensor(batch.xs))
             q_e = ad.softmax(z_e)
@@ -589,6 +685,15 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
             q_expert_rows = q_e.data.reshape(-1, k)
             z_expert_rows = z_e.data.reshape(-1, k)
             expert_sample_losses = rows_e.data.reshape(-1)
+            if record is not None:
+                record.logits[step], record.terms[step] = z_expert_rows, terms[0].data
+        elif memo is not None:
+            terms.append(ad.tensor(memo.terms[step]))
+            if head is not None:
+                z_expert_rows = memo.logits[step]
+                q_expert_rows = softmax_np(z_expert_rows)
+                expert_sample_losses = ad.cross_entropy_rows(
+                    ad.tensor(q_expert_rows), y_all_1h, _validate=False).data
 
         target_loss_val = float("nan")
         if head is not None:
@@ -607,24 +712,34 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         loss = terms[0]
         for t in terms[1:]:
             loss = ad.add(loss, t)
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
+        if opt is not None:
+            opt.zero_grad()
+            ad.backward(loss)
+            opt.step()
         if step == config.steps - 1:           # the last update is in: free the optimizer
             for p in params:
                 p.grad = None
-            opt = None
+            opt = p = None
 
         loss_trace[step] = loss.item()
         target_loss_trace[step] = target_loss_val
 
         if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
+            if memo is not None:
+                recorded = memo.params[len(evals)]
+                experts = [mm.model_from_arrays(arrays) for arrays in recorded]
             ev, q_expert = _evaluate(step, sources, method, head, experts, probe,
                                      pooled_val_x, target_loss_val)
+            if experts is not None:     # copied only once the evaluation's temporaries are gone
+                ev.expert_params = recorded if memo is not None else _recorded_params(experts)
             evals.append(ev)
             expert_probe_probs.append(q_expert)
 
     del head, stacked, experts, params, p       # score from the records alone
+    if record is not None:                      # every step is in: publish the trajectory
+        _read_only((record.logits, record.terms))
+        record.params.extend(ev.expert_params for ev in evals)
+        _expert_memo[key] = record
     selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
     result = RunResult(
@@ -649,12 +764,13 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
 
 def _evaluate(step, sources, method, head, experts, probe,
               pooled_val_x, target_loss_val) -> tuple[EvalPoint, np.ndarray | None]:
-    """One eval point of the live models, and the experts' probe probabilities.
+    """One eval point of the head and experts, and the experts' probe probabilities.
 
-    Train and val accuracies come from ``predicted_labels``, as the held-out score
-    does. Each expert is run on its own domain's probe rows; the probabilities
-    feed the rescale factors here and, at the selected point, the expert probe
-    losses. They are None for a kind without experts.
+    The point holds the head's parameter copies; ``_train`` adds the experts'. Train
+    and val accuracies come from ``predicted_labels``, as the held-out score does.
+    Each expert is run on its own domain's probe rows; the probabilities feed the
+    rescale factors here and, at the selected point, the expert probe losses. They
+    are None for a kind without experts.
     """
     train_acc, val_acc = {}, {}
     for ds in sources:
@@ -694,7 +810,6 @@ def _evaluate(step, sources, method, head, experts, probe,
         expert_val_acc=expert_val_acc,
         probe_probs=probe_probs,
         target_params=None if agg else head.param_arrays(),
-        expert_params=[e.param_arrays() for e in experts] if experts is not None else None,
         weighting_params=head.param_arrays() if agg and head is not None else None,
     ), q_expert
 

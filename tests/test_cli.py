@@ -142,6 +142,30 @@ class TestTrain:
         for rel in serial:
             assert serial[rel] == par[rel], rel
 
+    def test_jobs_that_share_experts_run_together_and_train_them_once(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Jobs run by (seed, held-out id); within one, lfme trains the experts and agg_avg
+        # replays them. The files equal those of runs that keep no trajectory.
+        methods = [{"kind": "lfme"}, {"kind": "erm"}, {"kind": "agg_avg"}]
+        builds, stack_models = [], mm.stack_models
+        monkeypatch.setattr(mm, "stack_models",
+                            lambda models: builds.append(1) or stack_models(models))
+        outputs = {}
+        for cap in (tr.EXPERT_MEMO_BYTES, 0):
+            monkeypatch.setattr(tr, "EXPERT_MEMO_BYTES", cap)
+            out = tmp_path / f"out{cap}"
+            cfg, _ = write_config(tmp_path, seeds=[1, 0], methods=methods, held_out="all",
+                                  output=str(out))
+            assert cli.main(["train", "-c", str(cfg)]) == 0
+            finished = [line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("finished ")]
+            assert finished == [str(cli.run_dir(out, m["kind"], seed, h)) for seed in (0, 1)
+                                for h in (0, 1, 2) for m in methods]
+            outputs[cap] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.glob("*/seed*/heldout*/*"))}
+        assert len(builds) == 6 + 12
+        assert outputs[tr.EXPERT_MEMO_BYTES] == outputs[0]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_blas_threads(self, tmp_path, monkeypatch, jobs):
         calls = cli.blas_thread_calls()
@@ -188,6 +212,8 @@ class TestTrain:
     @pytest.mark.parametrize("override, key", [
         ("held_out=3", "config.held_out"),
         ("seeds=2", "config.seeds"),
+        (f"seeds=[{10 ** 22}]", "config.seeds"),
+        (f"seeds=[{2 ** 64}]", "config.seeds"),
         ("seeds.x=1", "seeds.x"),
         ("train.lr=nan", "lr"),
         ("train.lr=NaN", "lr"),

@@ -888,6 +888,7 @@ class TestBlasThreads:
         config = quick_config(steps=60, eval_every=30, **self.WIDE)
         runs = []
         for n in (1, 2):
+            tr._expert_memo.clear()         # both runs train their experts
             with tr.blas_threads(n):
                 assert blas_get() == n
                 runs.append(tr.train_run(suite[:3], tr.MethodSpec(kind), config,

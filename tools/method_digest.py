@@ -13,6 +13,10 @@ probe probabilities and all recorded parameters), the selected step, OOD
 accuracy, expert probe losses, and the hard and easy ratio traces of
 ``report_from_run``. Two trees that print the same overall digest compute
 bitwise-equal runs.
+
+Each printed digest is of a live run: the expert memo is emptied before it.
+The same job then runs again, replaying the experts the first run recorded,
+and the tool exits 1 if that run's digest differs.
 """
 
 import hashlib
@@ -68,7 +72,8 @@ def main(argv) -> int:
                                      d_inv=4, d_spu=4, seed=0))
     sources, held = suite[:-1], suite[-1]
     hard_weighted = (train.ERMP_W_EXPT, train.ERMP_W_SELF)
-    overall = hashlib.sha256()
+    memo = getattr(train, "_expert_memo", {})      # absent from trees before the memo
+    overall, mismatches = hashlib.sha256(), []
     for optimizer in ("adam", "sgd"):
         config = train.TrainConfig(optimizer=optimizer, steps=150, eval_every=50,
                                    batch_per_domain=16, seed=0)
@@ -76,13 +81,21 @@ def main(argv) -> int:
             for alpha_half in (0.0, 0.7):
                 for beta in ((1.0, 0.0) if kind in hard_weighted else (1.0,)):
                     method = train.MethodSpec(kind, alpha_half=alpha_half, hard_weight_beta=beta)
-                    run = train.run_method(sources, method, config, held_out=held)
-                    digest = run_digest(run, analysis.report_from_run(run))
-                    print(f"{optimizer} {kind} alpha_half={alpha_half:g} beta={beta:g} {digest}",
-                          flush=True)
+                    memo.clear()
+                    digests = []
+                    for _ in range(2):      # live, then replaying what the live run recorded
+                        run = train.run_method(sources, method, config, held_out=held)
+                        digests.append(run_digest(run, analysis.report_from_run(run)))
+                    digest, replayed = digests
+                    label = f"{optimizer} {kind} alpha_half={alpha_half:g} beta={beta:g}"
+                    print(f"{label} {digest}", flush=True)
+                    if replayed != digest:
+                        mismatches.append(f"{label}: replayed run {replayed}")
                     overall.update(digest.encode())
     print(f"overall {overall.hexdigest()}")
-    return 0
+    for line in mismatches:
+        print(f"differs from the live run: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -1,16 +1,16 @@
-"""Optimizers, the training-method registry, and the joint training loop.
+"""Optimizers, the training-method registry, and the training loop.
 
 One loop covers every method: per-domain experts trained on their own
-minibatches and at most one head trained on the concatenated batch, all
-updated by a single shared optimizer. The head is the target model, with a
+minibatches by their own optimizer, and at most one head trained on the
+concatenated batch by another. The head is the target model, with a
 method-specific guidance term, or for the dynamic aggregation baseline the
 domain-weighting network, an erm classifier of each row's source domain.
 
 The experts never see the head, so their trajectory is the same for every
-method trained on the same data and config. The last run that trains them
-records it (logits and loss term per step, parameters per eval point), and a
-later run with the same data and config replays it instead of training them
-again (README "Expert memo").
+method trained on the same data and config. The loop reads it step by step
+from ``_expert_steps``: the last run that trains the experts records it
+(logits and loss term per step, parameters per eval point), and a later run
+with the same data and config replays it (README "Expert memo").
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import mmap
 import numbers
@@ -154,9 +155,9 @@ class FlatStorage:
     ``self.data`` and ``self.grad``, so backward accumulates straight into the
     buffer and an optimizer step is a few whole-buffer operations. The step
     uses the gradient buffer as its work area: ``p.grad`` is valid only
-    between backward and ``step``. After a run's last update ``_train`` drops
-    the optimizer and sets every ``p.grad`` to None; ``data`` stays with the
-    parameters.
+    between backward and ``step``. After a run's last update the training loop
+    drops each optimizer and sets every ``p.grad`` to None; ``data`` stays with
+    the parameters.
     """
 
     def __init__(self, params):
@@ -257,7 +258,7 @@ def make_optimizer(params, config: TrainConfig):
 
 
 def loss_expert(rows: ad.Tensor) -> ad.Tensor:
-    """The experts' joint term: each expert's batch-mean loss, summed over experts.
+    """The experts' loss term: each expert's batch-mean loss, summed over experts.
 
     ``rows`` holds per-sample losses [M,B]. numpy sums fewer than 8 values left to
     right, so for M < 8 the value is bitwise the ((e0 + e1) + e2) of per-expert terms.
@@ -568,6 +569,74 @@ def _recorded_params(models) -> list[list[np.ndarray]]:
     return [_read_only(copies[i:i + n]) for i in range(0, len(copies), n)]
 
 
+# One step of the experts: their batch (None when replayed), logits [M*B, K] and loss term,
+# and at an eval point the models to evaluate and ``params``, their read-only parameter
+# arrays, which a miss fills when the next step is drawn, after the caller's evaluation.
+ExpertStep = namedtuple("ExpertStep", "batch logits term models params", defaults=(None,) * 5)
+
+
+def _evaluates(step: int, config: TrainConfig) -> bool:
+    return (step + 1) % config.eval_every == 0 or step == config.steps - 1
+
+
+def _expert_steps(sources: list[DomainDataset], config: TrainConfig, dims):
+    """The ``ExpertStep`` of each step: read from the memo on a hit; on a miss, after
+    dropping the memo's entry, from the stacked experts trained by their own optimizer.
+    The setup runs at the call, so a miss allocates the experts' state before the head's."""
+    key = expert_key(sources, config, dims)
+    memo = _expert_memo.get(key)
+    if memo is not None:
+        return _replayed_steps(memo, config)
+    _expert_memo.clear()
+    stacked = mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i])
+                               for i in range(len(sources))])
+    opt = make_optimizer(stacked.parameters(), config)
+    steps, rows, k = config.steps, len(sources) * config.batch_per_domain, dims[-1]
+    size = 8 * (steps * (rows * k + 1) + -(-steps // config.eval_every) * opt.data.size)
+    record = (ExpertTrajectory(*_mapped([(steps, rows, k), (steps,)]), [])
+              if size <= EXPERT_MEMO_BYTES else None)     # the trajectory, if it fits the cap
+    return _trained_steps(sources, config, stacked, opt, record, key)
+
+
+def _replayed_steps(memo: ExpertTrajectory, config: TrainConfig):
+    points = iter(memo.params)
+    for step in range(config.steps):
+        params = next(points) if _evaluates(step, config) else None
+        models = None if params is None else [mm.model_from_arrays(arrays) for arrays in params]
+        yield ExpertStep(None, memo.logits[step], memo.terms[step], models, params)
+
+
+def _trained_steps(sources, config, stacked, opt, record, key):
+    """One update of the stacked experts per step, recorded into ``record`` if not None and
+    published once the last step is drawn, so a run that raises publishes nothing."""
+    steps, k = config.steps, stacked.layer_dims[-1]
+    experts = mm.unstack(stacked)       # per-expert views of the storage ``opt`` owns
+    points = [] if record is None else record.params
+    for step in range(steps):
+        batch = make_batches(sources, config.batch_per_domain, config.seed, step)
+        z = mm.forward(stacked, ad.tensor(batch.xs))
+        y = one_hot(batch.y_all, k).reshape(*batch.ys.shape, k)
+        term = loss_expert(ad.cross_entropy_rows(ad.softmax(z), y, _validate=False))
+        opt.zero_grad()
+        ad.backward(term)
+        opt.step()
+        if step == steps - 1:                   # the last update is in: free the optimizer
+            for p in opt.params:
+                p.grad = None
+            opt = p = None
+        logits = z.data.reshape(-1, k)
+        if record is not None:
+            record.logits[step], record.terms[step] = logits, term.data
+        params = [] if _evaluates(step, config) else None
+        yield ExpertStep(batch, logits, term.data, None if params is None else experts, params)
+        if params is not None:
+            params.extend(_recorded_params(experts))
+            points.append(params)
+    if record is not None:
+        _read_only((record.logits, record.terms))
+        _expert_memo[key] = record
+
+
 # ---------------------------------------------------------------------------
 # The training loop
 
@@ -577,12 +646,11 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
               teacher: mm.MlpModel | None = None) -> RunResult:
     """Train one method on the given source domains.
 
-    The experts and the run's one head (the target, or agg_dyn's weighting
-    network) are updated by one shared optimizer, every step, from one joint
-    scalar loss. Expert probabilities entering any guidance term are
-    detached first. A run whose experts' data and config match the last run
-    that trained experts replays their recorded trajectory instead; the result
-    is bitwise the same.
+    The experts train on their own domains' batches with their own optimizer, the
+    run's one head (the target, or agg_dyn's weighting network) on the pooled batch
+    with another; the experts never read the head. A run whose experts' data and
+    config match the last run that trained experts replays their recorded trajectory
+    instead, bitwise the same.
 
     A run whose step matmuls are all below ``SERIAL_BLAS_MADDS`` runs, evaluation
     included, on one BLAS thread; a larger one keeps the caller's count. The
@@ -601,22 +669,14 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
 def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     """``train_run``'s loop, on the thread count ``train_run`` chose.
 
-    The experts run one of two ways. On a memo miss they train live, in the
-    joint step, and the run records their logits and loss term at every step
-    into arrays allocated up front; the memo's old entry is dropped first, and
-    the new one is published only after the last step, so a run that raises
-    leaves none. A run whose record would pass ``EXPERT_MEMO_BYTES`` records
-    nothing. On a hit no expert is built, run or stepped: the recorded term
-    enters the joint loss as a constant, the guides come from the recorded
-    logits, and each eval point gets the recorded read-only parameter arrays.
-
-    Once the last update is applied, the optimizer (its moments or velocity and
-    the gradient buffer) is dropped and every trained parameter's ``grad`` set to
-    None, so the last evaluation runs without them. After the loop the live models,
-    and with them the flat data buffer, are dropped too: the run is scored from its
-    records alone. The selected point's parameter copies give the held-out score,
-    and the experts' probe probabilities ``_evaluate`` returned for that point give
-    the expert probe losses.
+    Each step reads the experts' ``ExpertStep``, trained or replayed alike: the head
+    trains on their batch (or builds one after a replay), with ``q^E``, the softmax of
+    their logits, and its cross entropy as guides and their term as a constant in the
+    loss. After the last update each optimizer is dropped and each ``grad`` set to None,
+    so the last evaluation runs without them. After the loop the live models and their
+    flat data buffers are dropped: the run is scored from its records alone, the held-out
+    score from the selected point's parameter copies and the expert probe losses from
+    the experts' probe probabilities ``_evaluate`` returned for it.
     """
     d, k = dims[0], dims[-1]
     n_src, b = len(sources), config.batch_per_domain
@@ -625,128 +685,68 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     if method.kind == LFME_GUID and teacher is None:
         raise ConfigError("lfme_guid needs a frozen teacher model")
 
+    expert_steps = _expert_steps(sources, config, dims) if method_kind.experts \
+        else itertools.repeat(ExpertStep(), config.steps)
+
     # The one head ``target_loss`` trains: the target, or agg_dyn's weighting net as erm on
     # each row's source-domain position. The other aggregation kinds train none.
     head, head_method, head_y = None, method, None
     if method_kind.weighting:
         head = mm.init_mlp([d, *config.hidden_dims, n_src], [config.seed, 13, 0])
-        head_method = MethodSpec(ERM)
-        head_y = one_hot(np.repeat(np.arange(n_src), b), n_src)
+        head_method, head_y = MethodSpec(ERM), one_hot(np.repeat(np.arange(n_src), b), n_src)
     elif not method_kind.aggregate:
         head = mm.init_mlp(dims, [config.seed, 11, 0])
-
-    # The experts: replayed from the memo (``memo``), or trained live, recording their
-    # logits and loss terms (``record``) if the whole trajectory fits the cap.
-    memo = record = stacked = None
-    if method_kind.experts:
-        key = expert_key(sources, config, dims)
-        memo = _expert_memo.get(key)
-        if memo is None:
-            _expert_memo.clear()
-            n_evals = -(-config.steps // config.eval_every)
-            expert_size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-            if 8 * (config.steps * (n_src * b * k + 1) + n_evals * n_src * expert_size) \
-                    <= EXPERT_MEMO_BYTES:
-                record = ExpertTrajectory(
-                    *_mapped([(config.steps, n_src * b, k), (config.steps,)]), [])
-            stacked = mm.stack_models([mm.init_mlp(dims, [config.seed, 12, i])
-                                       for i in range(n_src)])
-
-    params = [p for m in (stacked, head) if m is not None for p in m.parameters()]
-    opt = make_optimizer(params, config) if params else None
-    # Per-expert views of the stacked storage the optimizer now owns.
-    experts = mm.unstack(stacked) if stacked is not None else None
+    opt = make_optimizer(head.parameters(), config) if head is not None else None
 
     probe = make_probe(sources, config)
     ramp = method.ramp_steps if method.ramp_steps is not None else config.steps // 2
-
     pooled_val_x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
 
     loss_trace = np.zeros(config.steps)
-    target_loss_trace = np.zeros(config.steps)
+    target_loss_trace = np.full(config.steps, np.nan)     # nan where no target trains
     evals: list[EvalPoint] = []
     expert_probe_probs = []             # per eval point, None without experts
 
-    for step in range(config.steps):
-        terms = []
-        q_expert_rows = None
-        z_expert_rows = None
-        expert_sample_losses = None
-        if params:                      # a replayed run without a head needs no batch
-            batch = make_batches(sources, b, config.seed, step)
-            y_all_1h = one_hot(batch.y_all, k)
-
-        if stacked is not None:
-            z_e = mm.forward(stacked, ad.tensor(batch.xs))
-            q_e = ad.softmax(z_e)
-            rows_e = ad.cross_entropy_rows(q_e, y_all_1h.reshape(*batch.ys.shape, k),
-                                           _validate=False)
-            terms.append(loss_expert(rows_e))
-            q_expert_rows = q_e.data.reshape(-1, k)
-            z_expert_rows = z_e.data.reshape(-1, k)
-            expert_sample_losses = rows_e.data.reshape(-1)
-            if record is not None:
-                record.logits[step], record.terms[step] = z_expert_rows, terms[0].data
-        elif memo is not None:
-            terms.append(ad.tensor(memo.terms[step]))
-            if head is not None:
-                z_expert_rows = memo.logits[step]
-                q_expert_rows = softmax_np(z_expert_rows)
-                expert_sample_losses = ad.cross_entropy_rows(
-                    ad.tensor(q_expert_rows), y_all_1h, _validate=False).data
-
-        target_loss_val = float("nan")
+    for step, ex in enumerate(expert_steps):
+        loss = None if ex.term is None else ad.tensor(ex.term)
         if head is not None:
+            batch = make_batches(sources, b, config.seed, step) if ex.batch is None else ex.batch
+            y_all_1h = one_hot(batch.y_all, k)
             z = mm.forward(head, ad.tensor(batch.x_all))
             guides = {"y": y_all_1h if head_y is None else head_y,
-                      "q_expert": q_expert_rows, "z_expert": z_expert_rows,
-                      "expert_losses": expert_sample_losses,
                       "kd_ce_weight": kd_weight(method.alpha_half, step, ramp)}
+            if ex.logits is not None:
+                q_expert_rows = softmax_np(ex.logits)
+                guides.update(q_expert=q_expert_rows, z_expert=ex.logits,
+                              expert_losses=ad.cross_entropy_rows(
+                                  ad.tensor(q_expert_rows), y_all_1h, _validate=False).data)
             if teacher is not None:
                 guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
             t_loss = target_loss(head_method, z, guides, _validate=False)
-            terms.append(t_loss)
             if not method_kind.aggregate:
-                target_loss_val = t_loss.item()
-
-        loss = terms[0]
-        for t in terms[1:]:
-            loss = ad.add(loss, t)
-        if opt is not None:
+                target_loss_trace[step] = t_loss.item()
+            loss = t_loss if loss is None else ad.add(loss, t_loss)
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
-        if step == config.steps - 1:           # the last update is in: free the optimizer
-            for p in params:
-                p.grad = None
-            opt = p = None
-
+            if step == config.steps - 1:        # the last update is in: free the optimizer
+                for p in opt.params:
+                    p.grad = None
+                opt = p = None
         loss_trace[step] = loss.item()
-        target_loss_trace[step] = target_loss_val
-
-        if (step + 1) % config.eval_every == 0 or step == config.steps - 1:
-            if memo is not None:
-                recorded = memo.params[len(evals)]
-                experts = [mm.model_from_arrays(arrays) for arrays in recorded]
-            ev, q_expert = _evaluate(step, sources, method, head, experts, probe,
-                                     pooled_val_x, target_loss_val)
-            if experts is not None:     # copied only once the evaluation's temporaries are gone
-                ev.expert_params = recorded if memo is not None else _recorded_params(experts)
+        if _evaluates(step, config):
+            ev, q_expert = _evaluate(step, sources, method, head, ex.models, probe,
+                                     pooled_val_x, float(target_loss_trace[step]))
+            ev.expert_params = ex.params
             evals.append(ev)
             expert_probe_probs.append(q_expert)
 
-    del head, stacked, experts, params, p       # score from the records alone
-    if record is not None:                      # every step is in: publish the trajectory
-        _read_only((record.logits, record.terms))
-        record.params.extend(ev.expert_params for ev in evals)
-        _expert_memo[key] = record
+    del head, ex                                # score from the records alone
     selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
-    result = RunResult(
-        source_ids=[ds.domain_id for ds in sources],
-        loss_trace=loss_trace, target_loss_trace=target_loss_trace,
-        evals=evals, selected_index=selected_index, probe=probe,
-    )
+    result = RunResult(source_ids=[ds.domain_id for ds in sources], loss_trace=loss_trace,
+                       target_loss_trace=target_loss_trace, evals=evals,
+                       selected_index=selected_index, probe=probe)
 
     q_expert = expert_probe_probs[selected_index]
     if q_expert is not None:

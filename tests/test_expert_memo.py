@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from lfme_lab import analysis as an
-from lfme_lab import models as mm
 from lfme_lab import train as tr
 from lfme_lab.domains import SuiteSpec, generate_suite
 
@@ -28,19 +27,6 @@ EXPERT_KINDS = [kind for kind, row in tr.METHODS.items() if row.experts]
 def suite():
     return generate_suite(SuiteSpec(n_domains=3, n_classes=4, n_per_domain=300, d_inv=4,
                                     d_spu=4, spurious_strength=0.8, noise=0.4, seed=21))
-
-
-@pytest.fixture
-def expert_builds(monkeypatch):
-    """How many runs so far trained their experts live."""
-    calls, stack_models = [], mm.stack_models
-
-    def counting_stack_models(models):
-        calls.append(len(models))
-        return stack_models(models)
-
-    monkeypatch.setattr(mm, "stack_models", counting_stack_models)
-    return calls
 
 
 def config(**kw):
@@ -167,3 +153,19 @@ def test_a_trajectory_over_the_cap_is_not_kept(suite, monkeypatch):
         monkeypatch.setattr(tr, "EXPERT_MEMO_BYTES", cap)
         assert digest(suite, method, cfg) == kept
         assert len(tr._expert_memo) == entries
+
+
+def test_each_steps_batch_is_built_once(suite, monkeypatch):
+    # A miss builds the batch for its experts and hands it to the head; a hit builds it
+    # for the head alone, and a kind without a head builds none.
+    steps, make_batches = [], tr.make_batches
+
+    def counting_make_batches(sources, batch_per_domain, seed, step):
+        steps.append(step)
+        return make_batches(sources, batch_per_domain, seed, step)
+
+    monkeypatch.setattr(tr, "make_batches", counting_make_batches)
+    for kind, expected in ((tr.LFME, range(40)), (tr.LFME, range(40)), (tr.AGG_AVG, [])):
+        steps.clear()
+        tr.train_run(suite[:3], tr.MethodSpec(kind), config())
+        assert steps == list(expected)

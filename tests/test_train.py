@@ -690,8 +690,9 @@ class TestRunLifecycle:
             return opt
 
         def recording_evaluate(step, *args):
-            ref, params = made[-1]
-            seen.append((step, ref() is not None, [p.grad is None for p in params]))
+            # Every optimizer the run made: the experts' and the head's.
+            seen.append((step, [ref() is not None for ref, _ in made],
+                         [p.grad is None for _, params in made for p in params]))
             return evaluate(step, *args)
 
         monkeypatch.setattr(tr, "make_optimizer", recording_make_optimizer)
@@ -699,17 +700,19 @@ class TestRunLifecycle:
         suite = small_suite()
         run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(
             steps=6, eval_every=2, optimizer=optimizer), held_out=suite[3])
+        assert len(made) == 2
         assert [step for step, _, _ in seen] == [1, 3, 5]
         for _, live, grad_none in seen[:-1]:
-            assert live and not any(grad_none)
+            assert all(live) and not any(grad_none)
         _, live, grad_none = seen[-1]
-        assert not live and all(grad_none)
+        assert not any(live) and all(grad_none)
         assert run.ood_accuracy is not None
 
     @pytest.mark.parametrize("kind", [tr.LFME, tr.AGG_DYN])
     def test_each_steps_activations_die_in_its_backward(self, monkeypatch, kind):
-        # One group of weakrefs per step: the hidden activations its training
-        # forwards saved. A group closes when the step's backward returns.
+        # One group of weakrefs per backward: the hidden activations the training
+        # forward before it saved. A step that trains its experts runs two, the
+        # experts' and then the head's; a group closes when its backward returns.
         groups, closed_alive_at_forward, alive_at_eval = [[]], [], []
         mlp, forward, backward, evaluate = ad.mlp, mm.forward, ad.backward, tr._evaluate
 
@@ -743,7 +746,8 @@ class TestRunLifecycle:
         suite = small_suite()
         tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=6, eval_every=2),
                      held_out=suite[3])
-        assert len(groups) == 7 and all(len(g) == 2 * len(tr.DEFAULT_HIDDEN) for g in groups[:-1])
+        assert len(groups) == 2 * 6 + 1
+        assert all(len(g) == len(tr.DEFAULT_HIDDEN) for g in groups[:-1])
         assert len(closed_alive_at_forward) > 12 and not any(closed_alive_at_forward)
         assert alive_at_eval == [0, 0, 0]
 
@@ -791,7 +795,8 @@ class TestScoring:
     @pytest.mark.parametrize("kind, expert_builds, n_models", [(tr.LFME, 0, 1), (tr.AGG_DYN, 1, 4)])
     def test_scoring_reads_only_the_records(self, monkeypatch, kind, expert_builds, n_models):
         # After the last evaluation only the held-out rows are forwarded, by models
-        # built from the selected record, with the live flat data buffer already dead.
+        # built from the selected record, with the flat data buffers of both
+        # optimizers, the experts' and the head's, already dead.
         buffers, evals_done, forwards, builds = [], [], [], []
         make_optimizer, evaluate = tr.make_optimizer, tr._evaluate
         forward_array = mm.forward_array
@@ -808,7 +813,7 @@ class TestScoring:
             return out
 
         def recording_forward_array(model, x):
-            forwards.append((len(evals_done), x, buffers[-1]() is None))
+            forwards.append((len(evals_done), x, all(ref() is None for ref in buffers)))
             return forward_array(model, x)
 
         def recording_selected_expert_models(run):
@@ -823,7 +828,7 @@ class TestScoring:
         suite = small_suite()
         run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=6, eval_every=2),
                            held_out=suite[3])
-        assert evals_done == [1, 3, 5] and len(buffers) == 1
+        assert evals_done == [1, 3, 5] and len(buffers) == 2
         scoring = [(x, dead) for n, x, dead in forwards if n == 3]
         assert len(scoring) == n_models
         assert all(x is suite[3].features and dead for x, dead in scoring)

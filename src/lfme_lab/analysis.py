@@ -49,26 +49,12 @@ def entropy(q: np.ndarray) -> float:
     return float(rows if rows.ndim == 0 else rows.mean())
 
 
-def classification_ratio(p: np.ndarray, star: int) -> float:
-    """Min-max-normalized probability at the labeled class over the max.
-
-    1 means the labeled class holds the unique maximum, 0 the minimum.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise AnalysisError(f"need one probability row of >= 2 entries, got shape {p.shape}")
-    lo, hi = p.min(), p.max()
-    if hi == lo:
-        raise AnalysisError("classification ratio undefined for a constant row")
-    pbar = (p - lo) / (hi - lo)
-    return float(pbar[star])
-
-
 def classification_ratio_rows(probs: np.ndarray, stars: np.ndarray) -> np.ndarray:
-    """``classification_ratio`` of each row; NaN for a constant row, where it is undefined.
+    """Each row's probability at its labeled class, min-max normalized over the row.
 
-    A constant row comes from a model that ties every class on a sample, such
-    as one whose hidden units are all dead there.
+    1 means the labeled class holds the row's maximum, 0 its minimum. A constant row,
+    from a model that ties every class on a sample (one whose hidden units are all dead
+    there), gets NaN, where the ratio is undefined.
     """
     lo = probs.min(axis=1, keepdims=True)
     hi = probs.max(axis=1, keepdims=True)

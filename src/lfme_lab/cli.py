@@ -117,21 +117,21 @@ def _check_sections(config: dict):
 def validate_config(config: dict):
     """Check ``seeds``, ``held_out`` and the ``methods`` and ``train`` values, or raise.
 
-    Each method and each seed's train config is built, so a malformed value fails
-    with the error of the spec that owns it. The suite values are checked where the
-    suite is built (``build_suite``), and ``output`` in ``load_config``.
+    Takes a config whose sections ``_check_sections`` has checked. Each method and
+    each seed's train config is built, so a malformed value fails with the error of
+    the spec that owns it. The suite values are checked where the suite is built
+    (``build_suite``), and ``output`` in ``load_config``.
     """
-    _check_sections(config)
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(
             type(s) is int and 0 <= s < 2 ** 64 for s in seeds):
         raise CliError("config.seeds must be a nonempty list of integers in [0, 2**64), "
                        f"got {seeds!r}")
     if held_out not in ("all", "last") and not (
-            isinstance(held_out, list) and all(type(h) is int for h in held_out)
+            isinstance(held_out, list) and held_out and all(type(h) is int for h in held_out)
             and len(set(held_out)) == len(held_out)):
-        raise CliError('config.held_out must be "all", "last" or a list of distinct domain '
-                       f"ids, got {held_out!r}")
+        raise CliError('config.held_out must be "all", "last" or a nonempty list of distinct '
+                       f"domain ids, got {held_out!r}")
     kinds = set()
     for i, m in enumerate(config["methods"]):
         kind = build_method(m).kind

@@ -81,7 +81,6 @@ class DomainDataset:
     train_idx: np.ndarray
     val_idx: np.ndarray
     n_classes: int
-    meta: dict = field(default_factory=dict)
     # (seed, epoch) -> read-only shuffle of train_idx; see _epoch_perm.
     epoch_perms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -114,23 +113,23 @@ def _stratified_split(labels: np.ndarray, rng: np.random.Generator):
     return np.sort(np.asarray(train, dtype=np.int64)), np.sort(np.asarray(val, dtype=np.int64))
 
 
+def _rotations(spec: SuiteSpec) -> list[np.ndarray]:
+    """The spurious rotation of each source domain, then the extra domain's, which is
+    drawn until it lies far from every source rotation."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
+    rotations = [_random_rotation(rng, spec.d_spu, spec.d_inv) for _ in range(spec.n_domains)]
+    while True:
+        held = _random_rotation(rng, spec.d_spu, spec.d_inv)
+        if spec.d_spu == 0 or all(np.linalg.norm(held - r) > MIN_ROTATION_DISTANCE
+                                  for r in rotations):
+            return rotations + [held]
+
+
 def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
     """M source domains plus one domain with a fresh spurious rotation."""
     spec.validate()
-    root = np.random.SeedSequence(spec.seed)
     means = _class_means(spec.n_classes, spec.d_inv)
-
-    rotations = []
-    rot_rng = np.random.default_rng(root.spawn(2)[1])
-    for _ in range(spec.n_domains):
-        rotations.append(_random_rotation(rot_rng, spec.d_spu, spec.d_inv))
-    # Held-out rotation must be far from every source rotation.
-    while True:
-        held = _random_rotation(rot_rng, spec.d_spu, spec.d_inv)
-        if spec.d_spu == 0 or all(np.linalg.norm(held - r) > MIN_ROTATION_DISTANCE
-                                  for r in rotations):
-            rotations.append(held)
-            break
+    rotations = _rotations(spec)
 
     datasets = []
     for m in range(spec.n_domains + 1):
@@ -155,28 +154,8 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
             train_idx=train_idx,
             val_idx=val_idx,
             n_classes=spec.n_classes,
-            meta={"spec": spec, "rotation": rotations[m], "class_means": means},
         ))
     return datasets
-
-
-def spurious_label_correlation(ds: DomainDataset) -> float:
-    """Chance-corrected agreement between the nearest spurious mean and the label.
-
-    Assigns each sample to the closest spurious class mean of its own domain
-    and rescales the match rate so independence maps to 0 and a perfectly
-    label-aligned spurious block maps to 1.
-    """
-    spec: SuiteSpec = ds.meta["spec"]
-    if spec.d_spu == 0:
-        return 0.0
-    spur_means = SPURIOUS_MEAN_SCALE * (ds.meta["class_means"] @ ds.meta["rotation"].T)
-    x_spu = ds.features[:, spec.d_inv:]
-    d2 = ((x_spu[:, None, :] - spur_means[None, :, :]) ** 2).sum(axis=2)
-    nearest = d2.argmin(axis=1)
-    match = float(np.mean(nearest == ds.labels))
-    k = spec.n_classes
-    return (match - 1.0 / k) / (1.0 - 1.0 / k)
 
 
 def load_csv_suite(path, domain_column, label_column) -> list[DomainDataset]:

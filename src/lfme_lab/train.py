@@ -270,7 +270,8 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) 
     """The target model's loss on logits ``z``; one softmax of ``z`` feeds every term.
 
     ``guides`` holds constants: ``y`` (one-hot labels) and, where the kind uses them,
-    ``q_expert``, ``z_expert``, ``q_teacher``, ``expert_losses`` and ``kd_ce_weight``.
+    ``q_expert``, ``z_expert``, ``q_teacher`` and ``kd_ce_weight``. ermp_w_expt weights
+    each row by the cross entropy of ``q_expert`` against ``y``, the experts' row loss.
     ``_validate=False`` skips the one-hot check of ``y``, for labels ``one_hot`` built.
     """
     kind, alpha_half, y = method.kind, method.alpha_half, guides["y"]
@@ -288,7 +289,8 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) 
         v = ad.cross_entropy_rows(q, y, _validate)
         if alpha_half != 0.0:
             v = ad.add(v, ad.scale(ad.sq_norm_rows(z, y), alpha_half))
-        ref = guides["expert_losses"] if kind == ERMP_W_EXPT else v.data
+        ref = (ad.cross_entropy_rows(ad.tensor(guides["q_expert"]), y, _validate).data
+               if kind == ERMP_W_EXPT else v.data)
         return ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
     cla = ad.cross_entropy(q, y, _validate)
     pair = METHODS[kind].guidance
@@ -670,9 +672,9 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     """``train_run``'s loop, on the thread count ``train_run`` chose.
 
     Each step reads the experts' ``ExpertStep``, trained or replayed alike: the head
-    trains on their batch (or builds one after a replay), with ``q^E``, the softmax of
-    their logits, and its cross entropy as guides and their term as a constant in the
-    loss. After the last update each optimizer is dropped and each ``grad`` set to None,
+    trains on their batch (or builds one after a replay), with their term as a constant
+    in the loss and, for a target, their logits and ``q^E``, the logits' softmax, as
+    guides. After the last update each optimizer is dropped and each ``grad`` set to None,
     so the last evaluation runs without them. After the loop the live models and their
     flat data buffers are dropped: the run is scored from its records alone, the held-out
     score from the selected point's parameter copies and the expert probe losses from
@@ -711,15 +713,11 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         loss = None if ex.term is None else ad.tensor(ex.term)
         if head is not None:
             batch = make_batches(sources, b, config.seed, step) if ex.batch is None else ex.batch
-            y_all_1h = one_hot(batch.y_all, k)
             z = mm.forward(head, ad.tensor(batch.x_all))
-            guides = {"y": y_all_1h if head_y is None else head_y,
+            guides = {"y": one_hot(batch.y_all, k) if head_y is None else head_y,
                       "kd_ce_weight": kd_weight(method.alpha_half, step, ramp)}
-            if ex.logits is not None:
-                q_expert_rows = softmax_np(ex.logits)
-                guides.update(q_expert=q_expert_rows, z_expert=ex.logits,
-                              expert_losses=ad.cross_entropy_rows(
-                                  ad.tensor(q_expert_rows), y_all_1h, _validate=False).data)
+            if ex.logits is not None and head_y is None:    # the weighting net reads none
+                guides.update(q_expert=softmax_np(ex.logits), z_expert=ex.logits)
             if teacher is not None:
                 guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
             t_loss = target_loss(head_method, z, guides, _validate=False)

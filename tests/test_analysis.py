@@ -4,6 +4,7 @@ import pytest
 from lfme_lab import analysis as an
 from lfme_lab import train as tr
 from lfme_lab.domains import SuiteSpec, generate_suite
+from oracles import classification_ratio
 
 
 class TestRescaleFactors:
@@ -62,36 +63,44 @@ class TestEntropy:
         assert abs(an.entropy(q) - np.mean([-(r * np.log(r)).sum() for r in q])) < 1e-12
 
 
+def ratio(p, star) -> float:
+    """``classification_ratio_rows`` of the one row ``p``."""
+    return float(an.classification_ratio_rows(np.array([p]), np.array([star]))[0])
+
+
 class TestClassificationRatio:
     def test_max_gives_one(self):
-        assert an.classification_ratio(np.array([0.1, 0.7, 0.2]), 1) == 1.0
+        assert ratio([0.1, 0.7, 0.2], 1) == 1.0
 
     def test_min_gives_zero(self):
-        assert an.classification_ratio(np.array([0.1, 0.7, 0.2]), 0) == 0.0
+        assert ratio([0.1, 0.7, 0.2], 0) == 0.0
 
     def test_hand_normalization(self):
-        r = an.classification_ratio(np.array([0.5, 0.3, 0.2]), 1)
-        assert abs(r - 1.0 / 3.0) < 1e-12
+        assert abs(ratio([0.5, 0.3, 0.2], 1) - 1.0 / 3.0) < 1e-12
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(2)
-        p = rng.random(6)
-        for _ in range(20):
-            a = rng.uniform(0.1, 5)
-            b = rng.uniform(-3, 3)
-            star = int(rng.integers(6))
-            assert abs(an.classification_ratio(p, star)
-                       - an.classification_ratio(a * p + b, star)) < 1e-9
+        probs = rng.random((20, 6))
+        stars = rng.integers(6, size=20)
+        a = rng.uniform(0.1, 5, size=(20, 1))
+        b = rng.uniform(-3, 3, size=(20, 1))
+        assert np.allclose(an.classification_ratio_rows(probs, stars),
+                           an.classification_ratio_rows(a * probs + b, stars),
+                           rtol=0.0, atol=1e-9)
 
-    def test_constant_rejected(self):
+    def test_constant_row_is_nan(self):
+        assert np.isnan(ratio([0.25] * 4, 0))
+
+    def test_rows_match_one_row_oracle(self):
+        rng = np.random.default_rng(4)
+        probs = tr.softmax_np(rng.normal(size=(30, 5)))
+        stars = rng.integers(5, size=30)
+        rows = an.classification_ratio_rows(probs, stars)
+        assert rows.tolist() == [classification_ratio(p, s) for p, s in zip(probs, stars)]
+
+    def test_oracle_rejects_a_constant_row(self):
         with pytest.raises(an.AnalysisError):
-            an.classification_ratio(np.full(4, 0.25), 0)
-
-    def test_rows_match_single_row_and_constant_row_is_nan(self):
-        probs = np.array([[0.5, 0.3, 0.2], [0.25, 0.25, 0.5], [0.2, 0.2, 0.2]])
-        r = an.classification_ratio_rows(probs, np.array([1, 2, 0]))
-        assert r[0] == an.classification_ratio(probs[0], 1)
-        assert r[1] == 1.0 and np.isnan(r[2])
+            classification_ratio(np.full(4, 0.25), 0)
 
 
 class TestSplitHardEasy:

@@ -439,6 +439,16 @@ class TestConfigHandling:
         assert err.startswith("error: ") and key in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
+    def test_sections_are_checked_once_per_command(self, tmp_path, monkeypatch, command):
+        cfg, _ = write_config(tmp_path, alpha_grid=[0.0], train={"steps": 4})
+        calls, check_sections = [], cli._check_sections
+        monkeypatch.setattr(cli, "_check_sections",
+                            lambda config: calls.append(1) or check_sections(config))
+        # compare finds no finished runs and exits 1 after reading the config.
+        assert cli.main([command, "-c", str(cfg)]) == (1 if command == "compare" else 0)
+        assert len(calls) == 1
+
     def test_all_methods_preset_is_every_kind_but_lfme_guid(self):
         # lfme_guid trains an lfme teacher first, so "all" leaves it out.
         kinds = [m["kind"] for m in cli.ALL_METHODS_PRESET]
@@ -508,6 +518,8 @@ class TestSweep:
                   '{"kind": "lfme", "alpha_half": 10}]', "'lfme' is listed twice"),
         ("sweep", 'methods=[{"kind": "erm"}, {"kind": "erm"}]', "'erm' is listed twice"),
         ("train", "held_out=[1, 1]", "config.held_out"),
+        ("train", "held_out=[]", "config.held_out"),
+        ("sweep", "held_out=[]", "config.held_out"),
         ("sweep", "alpha_grid=[]", "config.alpha_grid"),
         ("sweep", 'alpha_grid=["x"]', "config.alpha_grid"),
         ("sweep", "alpha_grid=5", "config.alpha_grid"),

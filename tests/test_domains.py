@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from lfme_lab import domains
 from lfme_lab.domains import (DataError, DomainDataset, SuiteSpec, generate_suite,
-                              load_csv_suite, make_batches, one_hot,
-                              spurious_label_correlation)
+                              load_csv_suite, make_batches, one_hot)
+from oracles import spurious_label_correlation
 
 
 def small_spec(**kw):
@@ -31,22 +32,22 @@ class TestGenerate:
 
     def test_correlation_tracks_strength(self):
         for rho in (0.0, 0.5, 0.9):
-            suite = generate_suite(small_spec(spurious_strength=rho, n_per_domain=2000))
-            for ds in suite[:3]:
-                assert abs(spurious_label_correlation(ds) - rho) < 0.05
+            spec = small_spec(spurious_strength=rho, n_per_domain=2000)
+            for ds in generate_suite(spec)[:3]:
+                assert abs(spurious_label_correlation(spec, ds) - rho) < 0.05
 
     def test_separable_when_noise_vanishes(self):
-        suite = generate_suite(small_spec(noise=1e-4, d_spu=0, spurious_strength=1.0))
-        held = suite[-1]
-        means = held.meta["class_means"]
+        spec = small_spec(noise=1e-4, d_spu=0, spurious_strength=1.0)
+        held = generate_suite(spec)[-1]
+        means = domains._class_means(spec.n_classes, spec.d_inv)
         d2 = ((held.features[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         assert np.all(d2.argmin(axis=1) == held.labels)
 
     def test_held_out_rotation_differs(self):
-        suite = generate_suite(small_spec())
-        held_rot = suite[-1].meta["rotation"]
-        for ds in suite[:3]:
-            assert np.linalg.norm(held_rot - ds.meta["rotation"]) > 0.1
+        *source_rots, held_rot = domains._rotations(small_spec())
+        assert len(source_rots) == 3
+        for rot in source_rots:
+            assert np.linalg.norm(held_rot - rot) > 0.1
 
     def test_stratified_split(self):
         suite = generate_suite(small_spec())

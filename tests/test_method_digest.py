@@ -3,8 +3,10 @@
 ``tools/method_digest.py`` trains all 16 kinds under Adam and SGD and hashes
 every output of each run. The hashes below were recorded with numpy 2.4.6 on
 scipy-openblas 0.3.31; another numpy or BLAS may round differently, so the
-check runs only on those versions.
+check runs only on those versions. The 2-source digest is checked once more
+under ``OPENBLAS_NUM_THREADS=1``: the BLAS thread count changes no result.
 """
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,11 +36,23 @@ def recorded_versions() -> bool:
             and str(blas.get("version", "")).startswith("0.3.31"))
 
 
-@pytest.mark.skipif(not recorded_versions(),
-                    reason="digests were recorded with numpy 2.4.6 and scipy-openblas 0.3.31")
+recorded = pytest.mark.skipif(not recorded_versions(), reason="digests were recorded with "
+                              "numpy 2.4.6 and scipy-openblas 0.3.31")
+
+
+def digest(n_sources: int, **env) -> str:
+    proc = subprocess.run([sys.executable, str(TOOL), str(SRC), str(n_sources)],
+                          capture_output=True, text=True, timeout=600, env={**os.environ, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@recorded
 @pytest.mark.parametrize("n_sources", sorted(DIGESTS))
 def test_overall_digest_is_unchanged(n_sources):
-    proc = subprocess.run([sys.executable, str(TOOL), str(SRC), str(n_sources)],
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"overall {DIGESTS[n_sources]}"
+    assert digest(n_sources) == f"overall {DIGESTS[n_sources]}"
+
+
+@recorded
+def test_digest_on_one_blas_thread_is_unchanged():
+    assert digest(2, OPENBLAS_NUM_THREADS="1") == f"overall {DIGESTS[2]}"

@@ -3,8 +3,9 @@ and every parameter it gives a default is set by some call in ``src/lfme_lab``.
 
 A definition counts as used when its name occurs as a code identifier (not in a
 string or comment) anywhere in the package besides its own ``def`` or ``class``
-line. Dunder methods are called by Python itself and are not checked. A name
-that only tests or tools use goes on ``ALLOWED`` with the reason it is kept.
+line. Dunder methods are called by Python itself and are not checked. src keeps
+no name that only tests or tools use: a reference implementation a test checks
+src against lives in ``tests/oracles.py``, and ``ALLOWED`` stays empty.
 
 A defaulted parameter counts as set when a call of the function's bare name
 passes it by keyword or by position, or passes a ``*`` or ``**`` splat. A call
@@ -23,12 +24,7 @@ import lfme_lab
 
 PACKAGE = Path(lfme_lab.__file__).resolve().parent
 
-ALLOWED = {
-    "analysis.classification_ratio":
-        "the one-row reference test_analysis checks classification_ratio_rows against",
-    "domains.spurious_label_correlation":
-        "the oracle test_domains uses to measure the suite's spurious strength",
-}
+ALLOWED = {}
 
 ALLOWED_UNSET = {
     "cli.main.argv":
@@ -113,13 +109,12 @@ def unset_parameters(package: Path) -> list[str]:
 
 
 def test_src_defines_nothing_src_never_uses():
-    unused = sorted(set(unused_definitions(PACKAGE)) - set(ALLOWED))
+    unused = sorted(unused_definitions(PACKAGE))
     assert not unused, f"defined in src/lfme_lab but never used there: {unused}"
 
 
-def test_allowlist_names_only_unused_definitions():
-    stale = sorted(set(ALLOWED) - set(unused_definitions(PACKAGE)))
-    assert not stale, f"ALLOWED entries that src now uses or no longer defines: {stale}"
+def test_allowlist_is_empty():
+    assert not ALLOWED, f"src keeps no test-only code; move these to tests/oracles.py: {ALLOWED}"
 
 
 def test_guard_flags_an_unused_helper(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -834,6 +835,40 @@ class TestScoring:
         assert all(x is suite[3].features and dead for x, dead in scoring)
         assert builds == [3] * expert_builds
         assert run.ood_accuracy is not None
+
+
+class TestPerStepGuides:
+    """Which guides a step builds from the experts' logits, by call counts that grow
+    with ``steps`` only for work done at every step."""
+
+    @staticmethod
+    def calls(monkeypatch, kind, steps):
+        """Calls of ``train.softmax_np`` and ``autodiff.cross_entropy_rows`` in a run
+        that replays its experts and evaluates once, at its last step."""
+        suite, config = small_suite(), quick_config(steps=steps, eval_every=steps)
+        tr.train_run(suite[:3], tr.MethodSpec(kind), config)     # records the experts
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            for owner, name in ((tr, "softmax_np"), (ad, "cross_entropy_rows")):
+                def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                patch.setattr(owner, name, counted)
+            tr.train_run(suite[:3], tr.MethodSpec(kind), config)
+        return counts
+
+    def growth(self, monkeypatch, kind):
+        """How much each count grows from a 4-step to an 8-step run."""
+        short, long = (self.calls(monkeypatch, kind, steps) for steps in (4, 8))
+        return {name: long[name] - short[name] for name in ("softmax_np", "cross_entropy_rows")}
+
+    def test_weighting_net_reads_no_expert_guide(self, monkeypatch):
+        assert self.growth(monkeypatch, tr.AGG_DYN) == {"softmax_np": 0, "cross_entropy_rows": 0}
+
+    def test_only_hard_weighting_reads_the_expert_row_losses(self, monkeypatch):
+        assert self.growth(monkeypatch, tr.LFME)["cross_entropy_rows"] == 0
+        # Each step: the target's row losses and the experts' row losses it is weighted by.
+        assert self.growth(monkeypatch, tr.ERMP_W_EXPT)["cross_entropy_rows"] == 2 * 4
 
 
 @pytest.fixture

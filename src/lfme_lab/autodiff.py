@@ -7,7 +7,7 @@ squared-error losses, per-sample loss rows, and detach. A fresh
 graph is built on every forward pass. Each op result that requires grad joins
 its parents' tape, the graph's op results in creation order (a Wengert list),
 which is already a topological order; ``backward`` walks it once in reverse
-and consumes the graph, freeing each op's saved arrays and parent links as soon
+and consumes the graph, freeing each op's saved arrays and operand links as soon
 as that op's backward has run. Op results keep their data and grad.
 """
 
@@ -37,19 +37,19 @@ class GraphError(AutodiffError):
 class Tensor:
     """Dense float64 array with an optional gradient and graph linkage.
 
-    ``parents``, ``backward_fn`` and ``tape`` are set by the op that produced
-    the tensor when it requires grad; leaves have none of them. ``backward``
-    sets ``grad`` on the first contribution and adds the later ones, and clears
-    ``parents`` and ``backward_fn`` once the tensor's own backward has run.
+    ``backward_fn`` and ``tape`` are set by the op that produced the tensor when
+    it requires grad; leaves have neither. The op's ``backward_fn`` closure holds
+    its operands. ``backward`` sets ``grad`` on the first contribution and adds
+    the later ones, and clears ``backward_fn`` once the tensor's own backward has
+    run.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "backward_fn", "tape")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False, backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.parents = tuple(parents)
         self.backward_fn = backward_fn
         self.tape = None
 
@@ -119,7 +119,7 @@ def _result(data, parents, backward_fn):
         if p.tape.nodes is None:
             raise GraphError("an operand's graph was already consumed by backward")
         tape = p.tape if tape is None else tape.absorb(p.tape)
-    out = Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+    out = Tensor(data, requires_grad=True, backward_fn=backward_fn)
     out.tape = tape if tape is not None else GraphTape()
     out.tape.nodes.append(out)
     return out
@@ -355,8 +355,8 @@ def backward(loss: Tensor):
     """Accumulate into the grad of every requires-grad tensor reachable from ``loss``.
 
     Consumes the graph: its tape is released, and each op result drops its
-    ``backward_fn`` (with the arrays the op saved) and its ``parents`` as soon
-    as its backward has run, keeping its ``data`` and ``grad``. A second
+    ``backward_fn`` (with the operands and arrays the op saved) as soon as its
+    backward has run, keeping its ``data`` and ``grad``. A second
     ``backward`` or a new op on any of its op results raises GraphError.
     Grads of leaves accumulate across separate graphs; callers zero them
     between optimizer steps.
@@ -373,4 +373,4 @@ def backward(loss: Tensor):
     for node in reversed(nodes):
         if node.grad is not None:
             node.backward_fn(node)
-        node.backward_fn, node.parents = None, ()
+        node.backward_fn = None

@@ -10,6 +10,7 @@ success, 1 bad configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -34,6 +35,10 @@ ALL_METHODS_PRESET = [
     {"kind": "self_guid"}, {"kind": "ermp_w_expt"}, {"kind": "ermp_w_self"},
 ]
 
+# Every top-level config key with its default; ``_check_sections`` rejects any other key.
+CONFIG_DEFAULTS = {"suite": {}, "train": {}, "methods": [{"kind": "erm"}], "seeds": [0],
+                   "held_out": "all", "output": "out", "alpha_grid": DEFAULT_ALPHA_GRID}
+
 
 class CliError(Exception):
     """Configuration-level failure (exit code 1)."""
@@ -51,13 +56,8 @@ def load_config(args) -> dict:
             raise CliError(f"config is not valid JSON: {e}") from None
         if not isinstance(config, dict):
             raise CliError(f"config must be a JSON object, got {config!r}")
-    config.setdefault("suite", {})
-    config.setdefault("train", {})
-    config.setdefault("methods", [{"kind": "erm"}])
-    config.setdefault("seeds", [0])
-    config.setdefault("held_out", "all")
-    config.setdefault("output", "out")
-    config.setdefault("alpha_grid", DEFAULT_ALPHA_GRID)
+    for key, default in CONFIG_DEFAULTS.items():
+        config.setdefault(key, copy.deepcopy(default))
 
     for item in args.set or []:
         if "=" not in item:
@@ -85,13 +85,12 @@ def load_config(args) -> dict:
         config["train"]["steps"] = args.steps
     if getattr(args, "output", None):
         config["output"] = args.output
-    for source, raw in (("--seeds", getattr(args, "seeds", None)),
-                        ("LFME_SEED", os.environ.get("LFME_SEED"))):
-        if raw:
-            try:
-                config["seeds"] = [int(s) for s in raw.split(",")]
-            except ValueError:
-                raise CliError(f"{source} must be comma-separated integers, got {raw!r}") from None
+    seeds = getattr(args, "seeds", None)
+    if seeds:
+        try:
+            config["seeds"] = [int(s) for s in seeds.split(",")]
+        except ValueError:
+            raise CliError(f"--seeds must be comma-separated integers, got {seeds!r}") from None
 
     if not isinstance(config["output"], str):
         raise CliError(f"config.output must be a path string, got {config['output']!r}")
@@ -100,7 +99,11 @@ def load_config(args) -> dict:
 
 
 def _check_sections(config: dict):
-    """Expand ``methods: "all"`` and reject a section of the wrong type, naming it."""
+    """Expand ``methods: "all"`` and reject an unknown key or a section of the wrong type,
+    naming it."""
+    unknown = sorted(config.keys() - CONFIG_DEFAULTS.keys())
+    if unknown:
+        raise CliError(f"unknown config key {unknown[0]!r}; known keys: {list(CONFIG_DEFAULTS)}")
     if config["methods"] == "all":
         config["methods"] = [dict(m) for m in ALL_METHODS_PRESET]
     for key in ("suite", "train"):

@@ -100,12 +100,9 @@ def unstack(model: MlpModel) -> list[MlpModel]:
 def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
     """Logits for a batch of feature rows; ReLU hidden, identity output.
 
-    A stacked model takes one batch per member, x[M,B,d], and gives [M,B,K].
+    A stacked model takes one batch per member, x[M,B,d], and gives [M,B,K]; ``ad.mlp``
+    raises ShapeError for an input of another rank or feature width.
     """
-    if x.data.ndim != model.weights[0].data.ndim or x.data.shape[-1] != model.layer_dims[0]:
-        raise ad.ShapeError(
-            f"input shape {x.data.shape} does not match feature width {model.layer_dims[0]}"
-        )
     return ad.mlp(x, model.weights, model.biases)
 
 

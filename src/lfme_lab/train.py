@@ -151,56 +151,50 @@ class TrainConfig:
 class FlatStorage:
     """One contiguous data buffer and one gradient buffer behind a parameter list.
 
-    Each ``p.data`` and ``p.grad`` is rebound to a reshaped view of
-    ``self.data`` and ``self.grad``, so backward accumulates straight into the
-    buffer and an optimizer step is a few whole-buffer operations. The step
-    uses the gradient buffer as its work area: ``p.grad`` is valid only
-    between backward and ``step``. After a run's last update the training loop
-    drops each optimizer and sets every ``p.grad`` to None; ``data`` stays with
-    the parameters.
+    At construction each ``p.data`` and ``p.grad`` is rebound to a reshaped view of
+    ``self.data`` and ``self.grad``. From then on values and gradients are written in
+    place: backward accumulates straight into the buffer, and an optimizer step is a
+    few whole-buffer operations. The step uses the gradient buffer as its work area,
+    so ``p.grad`` is valid only between backward and ``step``. ``release`` drops the
+    gradient views after a run's last update; ``data`` stays with the parameters.
     """
 
-    def __init__(self, params):
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter was passed to the optimizer twice")
+        self.lr = lr
+        self.weight_decay = weight_decay
         self.data = np.concatenate([p.data.ravel() for p in self.params])
         self.grad = np.zeros_like(self.data)
         bounds = np.cumsum([p.data.size for p in self.params])[:-1]
-        self._views = []
         for p, data, grad in zip(self.params, np.split(self.data, bounds),
                                  np.split(self.grad, bounds)):
-            data, grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
-            if p.grad is not None:
-                grad[...] = p.grad
-            p.data, p.grad = data, grad
-            self._views.append((data, grad))
+            p.data, p.grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
 
     def zero_grad(self):
         self.grad.fill(0.0)
 
-    def _attach(self):
-        """Copy in any data or gradient a caller rebound since the last step."""
-        for p, (data, grad) in zip(self.params, self._views):
-            if p.data is not data:
-                data[...], p.data = p.data, data
-            if p.grad is not grad:
-                if p.grad is None:
-                    raise ValueError(f"parameter of shape {data.shape} has no gradient")
-                grad[...], p.grad = p.grad, grad
+    def update(self, loss: ad.Tensor):
+        """One step on ``loss``: zero the gradients, backpropagate, then ``step``."""
+        self.zero_grad()
+        ad.backward(loss)
+        self.step()
+
+    def release(self):
+        """Drop every parameter's gradient view; the optimizer takes no further update."""
+        for p in self.params:
+            p.grad = None
 
 
 class SgdMomentum(FlatStorage):
     MOMENTUM = 0.9
 
     def __init__(self, params, lr, weight_decay=0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
+        super().__init__(params, lr, weight_decay)
         self.velocity = np.zeros_like(self.data)
 
     def step(self):
-        self._attach()
         g, v = self.grad, self.velocity
         g += np.multiply(self.data, self.weight_decay)      # the step's one temporary
         v *= self.MOMENTUM
@@ -213,9 +207,7 @@ class Adam(FlatStorage):
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr, weight_decay=0.0):
-        super().__init__(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
+        super().__init__(params, lr, weight_decay)
         self.t = 0
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
@@ -224,7 +216,6 @@ class Adam(FlatStorage):
         # The per-tensor update's elementwise ops in the same order, so runs stay bitwise:
         # g = grad + wd*p; m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
         # p -= lr*(m/bias1) / (sqrt(v/bias2) + eps).
-        self._attach()
         self.t += 1
         bias1 = 1.0 - self.BETA1 ** self.t
         bias2 = 1.0 - self.BETA2 ** self.t
@@ -619,13 +610,10 @@ def _trained_steps(sources, config, stacked, opt, record, key):
         z = mm.forward(stacked, ad.tensor(batch.xs))
         y = one_hot(batch.y_all, k).reshape(*batch.ys.shape, k)
         term = loss_expert(ad.cross_entropy_rows(ad.softmax(z), y, _validate=False))
-        opt.zero_grad()
-        ad.backward(term)
-        opt.step()
+        opt.update(term)
         if step == steps - 1:                   # the last update is in: free the optimizer
-            for p in opt.params:
-                p.grad = None
-            opt = p = None
+            opt.release()
+            opt = None
         logits = z.data.reshape(-1, k)
         if record is not None:
             record.logits[step], record.terms[step] = logits, term.data
@@ -674,8 +662,8 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     Each step reads the experts' ``ExpertStep``, trained or replayed alike: the head
     trains on their batch (or builds one after a replay), with their term as a constant
     in the loss and, for a target, their logits and ``q^E``, the logits' softmax, as
-    guides. After the last update each optimizer is dropped and each ``grad`` set to None,
-    so the last evaluation runs without them. After the loop the live models and their
+    guides. After the last update each optimizer is released and dropped, so the last
+    evaluation runs without them. After the loop the live models and their
     flat data buffers are dropped: the run is scored from its records alone, the held-out
     score from the selected point's parameter copies and the expert probe losses from
     the experts' probe probabilities ``_evaluate`` returned for it.
@@ -724,13 +712,10 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
             if not method_kind.aggregate:
                 target_loss_trace[step] = t_loss.item()
             loss = t_loss if loss is None else ad.add(loss, t_loss)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            opt.update(loss)
             if step == config.steps - 1:        # the last update is in: free the optimizer
-                for p in opt.params:
-                    p.grad = None
-                opt = p = None
+                opt.release()
+                opt = None
         loss_trace[step] = loss.item()
         if _evaluates(step, config):
             ev, q_expert = _evaluate(step, sources, method, head, ex.models, probe,

@@ -108,18 +108,6 @@ class TestTrain:
         # per eval: loss + 2 train + 2 val + mean + entropy + logit_sum; plus 2 final rows
         assert len(rows) == n_evals * 8 + 2
 
-    def test_env_seed_override(self, tmp_path):
-        cfg, config = write_config(tmp_path)
-        env = dict(os.environ)
-        os.environ["LFME_SEED"] = "7"
-        try:
-            cli.main(["train", "-c", str(cfg)])
-        finally:
-            os.environ.clear()
-            os.environ.update(env)
-        assert (tmp_path / "out" / "erm" / "seed7").exists()
-        assert not (tmp_path / "out" / "erm" / "seed0").exists()
-
     def test_parallel_jobs_match_serial(self, tmp_path):
         # Both sides train on one BLAS thread: these runs are below train.SERIAL_BLAS_MADDS.
         # test_train.TestBlasThreads compares 1 against 2 threads.
@@ -428,6 +416,7 @@ class TestConfigHandling:
         (f"seeds=[{10 ** 22}]", "seed"),
         ("output=5", "config.output"),
         ('methods=[{"kind": 0}]', "kind"),
+        ("sedes=[5]", "unknown config key 'sedes'"),
     ])
     def test_every_command_rejects_a_malformed_value(self, tmp_path, capsys, monkeypatch,
                                                      command, override, key):
@@ -527,6 +516,7 @@ class TestSweep:
         ("sweep", "alpha_grid=[1, 1.0]", "config.alpha_grid"),
         ("sweep", "alpha_grid=[NaN]", "config.alpha_grid"),
         ("sweep", "alpha_grid=[true]", "config.alpha_grid"),
+        ("sweep", "sedes=[5]", "unknown config key 'sedes'"),
     ])
     def test_bad_config_exit_code(self, tmp_path, capsys, command, override, key):
         cfg, _ = write_config(tmp_path)

@@ -12,6 +12,8 @@ passes it by keyword or by position, or passes a ``*`` or ``**`` splat. A call
 of a class, or ``super().__init__`` in a subclass, is a call of its ``__init__``.
 A parameter no src call sets is a constant in disguise; one that only callers
 outside src set goes on ``ALLOWED_UNSET`` with its reason.
+
+src reads no environment variable either.
 """
 
 import ast
@@ -148,3 +150,13 @@ def test_guard_flags_an_unset_parameter(tmp_path):
         "box = Kid(c=1)\n")
     assert sorted(unset_parameters(tmp_path)) == [
         "a.f.only", "a.f.spare", "a.g.x", "a.g.y", "b.Base.__init__.b", "b.Kid.m.e"]
+
+
+def test_src_reads_no_environment_variable():
+    # A run is set by its config file and command line alone: an environment variable
+    # would be a second, unrecorded way to set a config value.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [f"{path.name}:{tok.start[0]}" for path in sorted(PACKAGE.glob("*.py"))
+             for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+             if tok.type == tokenize.NAME and tok.string in names]
+    assert found == []

@@ -13,6 +13,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -76,24 +77,14 @@ def load_config(args) -> dict:
         node[parts[-1]] = value
 
     _check_sections(config)
-    if getattr(args, "method", None):
-        config["methods"] = [{"kind": args.method}]
-    if getattr(args, "alpha_half", None) is not None:
+    if getattr(args, "alpha_half", None) is not None:     # train only; reaches "all" too
         for m in config["methods"]:
             m["alpha_half"] = args.alpha_half
-    if getattr(args, "steps", None) is not None:
-        config["train"]["steps"] = args.steps
-    if getattr(args, "output", None):
+    if args.output is not None:
         config["output"] = args.output
-    seeds = getattr(args, "seeds", None)
-    if seeds:
-        try:
-            config["seeds"] = [int(s) for s in seeds.split(",")]
-        except ValueError:
-            raise CliError(f"--seeds must be comma-separated integers, got {seeds!r}") from None
 
-    if not isinstance(config["output"], str):
-        raise CliError(f"config.output must be a path string, got {config['output']!r}")
+    if not isinstance(config["output"], str) or not config["output"]:
+        raise CliError(f"config.output must be a nonempty path string, got {config['output']!r}")
     validate_config(config)
     return config
 
@@ -306,12 +297,14 @@ def _share_cpus(threads: int):
 
 
 def map_jobs(fn, payloads, jobs: int):
-    """Yield ``fn(payload)`` for each payload, in order.
+    """Yield ``fn(payload)`` for each payload of the list ``payloads``, in order.
 
     ``jobs == 1`` runs in this process at its BLAS thread count. ``jobs > 1``
     runs a pool of forked workers, each with ``max(1, cpus // jobs)`` BLAS
     threads, so the workers together do not oversubscribe the CPUs. Either
     way, ``train_run`` drops a small run to one thread (``SERIAL_BLAS_MADDS``).
+    The pool hands out ``jobs`` contiguous chunks, each run by one worker, so
+    neighbouring payloads that share experts share that worker's expert memo.
     """
     if jobs == 1:
         yield from map(fn, payloads)
@@ -320,7 +313,7 @@ def map_jobs(fn, payloads, jobs: int):
     threads = max(1, len(os.sched_getaffinity(0)) // jobs)
     with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
                              initargs=(threads,)) as pool:
-        yield from pool.map(fn, payloads)
+        yield from pool.map(fn, payloads, chunksize=math.ceil(len(payloads) / jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (dotted path)")
         p.add_argument("--output", "-o", help="output directory")
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--steps", type=int, help="training steps")
-        p.add_argument("--method", help="single method kind to run")
-        p.add_argument("--alpha-half", type=float, dest="alpha_half",
-                       help="guidance weight for all configured methods")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic suite as CSV files")
     common(p_gen)
@@ -552,6 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train configured methods")
     common(p_train)
+    p_train.add_argument("--alpha-half", type=float, dest="alpha_half",
+                         help="guidance weight for every configured method")
     p_train.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_train.set_defaults(fn=cmd_train)
 

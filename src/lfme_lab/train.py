@@ -263,7 +263,8 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) 
     ``guides`` holds constants: ``y`` (one-hot labels) and, where the kind uses them,
     ``q_expert``, ``z_expert``, ``q_teacher`` and ``kd_ce_weight``. ermp_w_expt weights
     each row by the cross entropy of ``q_expert`` against ``y``, the experts' row loss.
-    ``_validate=False`` skips the one-hot check of ``y``, for labels ``one_hot`` built.
+    ``_validate=False`` skips the checks of ``y`` and of kd_ce's ``q_expert``, for labels
+    ``one_hot`` built and probabilities ``softmax_np`` built.
     """
     kind, alpha_half, y = method.kind, method.alpha_half, guides["y"]
     q = ad.softmax(z)
@@ -275,7 +276,8 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) 
         cla = ad.scale(ad.cross_entropy(q, y, _validate), 1.0 - weight)
         if weight == 0.0:
             return cla
-        return ad.add(cla, ad.scale(ad.soft_cross_entropy(q, guides["q_expert"]), weight))
+        kd = ad.soft_cross_entropy(q, guides["q_expert"], _validate)
+        return ad.add(cla, ad.scale(kd, weight))
     if kind in (ERMP_W_EXPT, ERMP_W_SELF) and method.hard_weight_beta != 0.0:
         v = ad.cross_entropy_rows(q, y, _validate)
         if alpha_half != 0.0:

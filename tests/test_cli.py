@@ -1,4 +1,6 @@
+import argparse
 import csv
+import itertools
 import json
 import os
 import shutil
@@ -154,6 +156,33 @@ class TestTrain:
         assert len(builds) == 6 + 12
         assert outputs[tr.EXPERT_MEMO_BYTES] == outputs[0]
 
+    def test_jobs_that_share_experts_stay_on_one_worker(self, tmp_path, monkeypatch):
+        # Each worker runs a contiguous chunk of the (seed, held-out) order, so each of the
+        # 2 x 3 groups trains its experts once. --jobs 2 runs first: forked workers would
+        # inherit an expert memo the --jobs 1 run left in this process.
+        methods = [{"kind": "lfme"}, {"kind": "erm"}, {"kind": "agg_avg"}]
+        builds, calls, stack_models = tmp_path / "builds", itertools.count(), mm.stack_models
+        builds.mkdir()
+
+        def counting_stack_models(models):
+            # Forked workers inherit this patch; the count comes back by file.
+            (builds / f"{os.getpid()}-{next(calls)}").touch()
+            return stack_models(models)
+
+        monkeypatch.setattr(mm, "stack_models", counting_stack_models)
+        trees = {}
+        for jobs in (2, 1):
+            out = tmp_path / f"out{jobs}"
+            cfg, _ = write_config(tmp_path, seeds=[1, 0], methods=methods, held_out="all",
+                                  output=str(out))
+            assert cli.main(["train", "-c", str(cfg), "--jobs", str(jobs)]) == 0
+            trees[jobs] = {p.relative_to(out): p.read_bytes()
+                           for p in sorted(out.glob("*/seed*/heldout*/*"))}
+            if jobs == 2:
+                assert len(list(builds.iterdir())) == 6
+        assert len(trees[1]) == 2 * 3 * (7 + 3 + 5)
+        assert trees[2] == trees[1]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_blas_threads(self, tmp_path, monkeypatch, jobs):
         calls = cli.blas_thread_calls()
@@ -200,6 +229,9 @@ class TestTrain:
     @pytest.mark.parametrize("override, key", [
         ("held_out=3", "config.held_out"),
         ("seeds=2", "config.seeds"),
+        ("seeds=[1.5]", "config.seeds"),
+        ('seeds=[1, "x"]', "config.seeds"),
+        ("seeds=[0,,1]", "config.seeds"),
         (f"seeds=[{10 ** 22}]", "config.seeds"),
         (f"seeds=[{2 ** 64}]", "config.seeds"),
         ("seeds.x=1", "seeds.x"),
@@ -231,13 +263,6 @@ class TestTrain:
         cfg.write_text(top)
         assert cli.main(["train", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: config must be a JSON object")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("seeds", ["1,x", "1.5", "0,,1"])
-    def test_bad_seeds_flag_exit_code(self, tmp_path, capsys, seeds):
-        cfg, _ = write_config(tmp_path)
-        assert cli.main(["train", "-c", str(cfg), "--seeds", seeds]) == 1
-        assert capsys.readouterr().err.startswith("error: --seeds must be")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("csv_path", ["5", "\"missing.csv\""])
@@ -301,7 +326,7 @@ class TestCompare:
 
     def test_missing_runs_reported(self, tmp_path, capsys):
         cfg, config = write_config(tmp_path, methods=[{"kind": "erm"}, {"kind": "ls"}])
-        cli.main(["train", "-c", str(cfg), "--method", "erm"])
+        cli.main(["train", "-c", str(cfg), "--set", 'methods=[{"kind": "erm"}]'])
         capsys.readouterr()
         assert cli.main(["compare", "-c", str(cfg)]) == 0
         err = capsys.readouterr().err
@@ -310,7 +335,7 @@ class TestCompare:
     def test_run_without_run_json_is_missing(self, tmp_path, capsys, monkeypatch):
         # A run directory is complete only once it holds run.json.
         cfg, config = write_config(tmp_path, methods=[{"kind": "erm"}, {"kind": "ls"}])
-        assert cli.main(["train", "-c", str(cfg), "--method", "erm"]) == 0
+        assert cli.main(["train", "-c", str(cfg), "--set", 'methods=[{"kind": "erm"}]']) == 0
         with monkeypatch.context() as patch:
             fail_run_json_write(patch)
             with pytest.raises(OSError, match="disk full"):
@@ -415,6 +440,7 @@ class TestConfigHandling:
         (f"suite.n_classes={10 ** 22}", "n_classes"),
         (f"seeds=[{10 ** 22}]", "seed"),
         ("output=5", "config.output"),
+        ('output=""', "config.output"),
         ('methods=[{"kind": 0}]', "kind"),
         ("sedes=[5]", "unknown config key 'sedes'"),
     ])
@@ -427,6 +453,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
+    def test_empty_output_flag_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        cfg, _ = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "-c", str(cfg), "-o", ""]) == 1
+        assert capsys.readouterr().err.startswith("error: config.output must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_each_command_takes_only_its_options(self):
+        # --set is the one way to set a config value; train adds --alpha-half, which
+        # also reaches methods: "all", and --jobs.
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {name: sorted(o for a in p._actions for o in a.option_strings)
+                   for name, p in subparsers.choices.items()}
+        common = ["--config", "--help", "--output", "--set", "-c", "-h", "-o"]
+        assert options == {"gen": common, "compare": common, "sweep": common,
+                           "train": sorted(common + ["--alpha-half", "--jobs"]),
+                           "analyze": ["--help", "-h"]}
 
     @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
     def test_sections_are_checked_once_per_command(self, tmp_path, monkeypatch, command):
@@ -530,8 +576,5 @@ class _Args:
     def __init__(self, config=None, set=None):
         self.config = config
         self.set = set
-        self.method = None
         self.alpha_half = None
-        self.seeds = None
-        self.steps = None
         self.output = None

@@ -46,8 +46,9 @@ def set_arg(key: str, value) -> str:
 
 def exit_code(command: str, *sets: str) -> int:
     with tempfile.TemporaryDirectory() as out:
-        argv = [command, "--steps", "1", "--output", out]
-        for item in [*BASE, *sets]:
+        argv = [command, "--output", out]
+        # train.steps=1 comes last, so no drawn value lengthens a run past one step.
+        for item in [*BASE, *sets, "train.steps=1"]:
             argv += ["--set", item]
         return cli.main(argv)
 

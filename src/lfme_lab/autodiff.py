@@ -2,13 +2,14 @@
 
 Supports exactly what MLP classification losses and logit-regression guidance
 terms need: a whole ReLU MLP as one op (on 2-D operands or on [M, ...] stacks
-of M same-shape models), softmax, cross entropy (hard and soft targets),
-squared-error losses, per-sample loss rows, and detach. A fresh
-graph is built on every forward pass. Each op result that requires grad joins
-its parents' tape, the graph's op results in creation order (a Wengert list),
-which is already a topological order; ``backward`` walks it once in reverse
-and consumes the graph, freeing each op's saved arrays and operand links as soon
-as that op's backward has run. Op results keep their data and grad.
+of M same-shape models), softmax, one cross entropy against any constant
+per-row target distribution (as a batch mean or per sample), squared-error
+losses, per-sample loss rows, and detach. A fresh graph is built on every
+forward pass. Each op result that requires grad joins its parents' tape, the
+graph's op results in creation order (a Wengert list), which is already a
+topological order; ``backward`` walks it once in reverse and consumes the
+graph, freeing each op's saved arrays and operand links as soon as that op's
+backward has run. Op results keep their data and grad.
 """
 
 from __future__ import annotations
@@ -230,40 +231,20 @@ def softmax(z: Tensor) -> Tensor:
     return _result(q, (z,), backward)
 
 
-def _check_one_hot(y: np.ndarray, like: np.ndarray, validate: bool):
-    """Shapes always; with ``validate``, that every row of ``y`` is one-hot."""
-    if y.shape != like.shape:
-        raise ShapeError(f"label shape {y.shape} does not match {like.shape}")
-    if not validate:
-        return
-    rows = y.reshape(-1, y.shape[-1])
-    if not (np.all((rows == 0.0) | (rows == 1.0)) and np.all(rows.sum(axis=-1) == 1.0)):
-        raise ValueError("labels must be exactly one-hot")
-
-
 def _batch_size(t: Tensor) -> int:
     return t.data.shape[0] if t.data.ndim >= 2 else 1
 
 
-def cross_entropy(q: Tensor, y, _validate=True) -> Tensor:
-    """Batch-mean cross entropy against one-hot labels.
+def cross_entropy(q: Tensor, targets) -> Tensor:
+    """Batch-mean cross entropy against a constant per-row distribution.
 
-    ``y`` is a constant one-hot array; the log argument is clamped at
-    LOG_FLOOR so a zero probability cannot produce -inf. ``_validate=False``
-    skips the one-hot check, for labels that are one-hot by construction.
+    ``targets`` may be one-hot labels, smoothed labels or another model's
+    probabilities; whoever builds them checks their values. The log argument is
+    clamped at LOG_FLOOR so a zero probability cannot produce -inf.
     """
-    y = np.asarray(y, dtype=np.float64)
-    _check_one_hot(y, q.data, _validate)
-    return soft_cross_entropy(q, y, _validate=False)
-
-
-def soft_cross_entropy(q: Tensor, targets, _validate=True) -> Tensor:
-    """Batch-mean cross entropy against an arbitrary constant distribution."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != q.data.shape:
         raise ShapeError(f"target shape {targets.shape} does not match {q.data.shape}")
-    if _validate and (np.any(targets < 0.0) or np.any(np.abs(targets.sum(axis=-1) - 1.0) > 1e-6)):
-        raise ValueError("soft targets must be nonnegative and sum to 1 per row")
     b = _batch_size(q)
     clamped = np.maximum(q.data, LOG_FLOOR)
     out_data = -(targets * np.log(clamped)).sum() / b
@@ -277,11 +258,12 @@ def soft_cross_entropy(q: Tensor, targets, _validate=True) -> Tensor:
     return _result(out_data, (q,), backward)
 
 
-def cross_entropy_rows(q: Tensor, y, _validate=True) -> Tensor:
+def cross_entropy_rows(q: Tensor, y) -> Tensor:
     """Per-sample cross entropy over the last axis: [..., B, K] probabilities and
-    one-hot labels -> [..., B]. ``_validate`` as in ``cross_entropy``."""
+    constant targets -> [..., B]."""
     y = np.asarray(y, dtype=np.float64)
-    _check_one_hot(y, q.data, _validate)
+    if y.shape != q.data.shape:
+        raise ShapeError(f"target shape {y.shape} does not match {q.data.shape}")
     clamped = np.maximum(q.data, LOG_FLOOR)
     out_data = -(y * np.log(clamped)).sum(axis=-1)
 

@@ -118,9 +118,9 @@ def validate_config(config: dict):
     """
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(
-            type(s) is int and 0 <= s < 2 ** 64 for s in seeds):
-        raise CliError("config.seeds must be a nonempty list of integers in [0, 2**64), "
-                       f"got {seeds!r}")
+            type(s) is int and 0 <= s < 2 ** 64 for s in seeds) or len(set(seeds)) != len(seeds):
+        raise CliError("config.seeds must be a nonempty list of distinct integers in "
+                       f"[0, 2**64), got {seeds!r}")
     if held_out not in ("all", "last") and not (
             isinstance(held_out, list) and held_out and all(type(h) is int for h in held_out)
             and len(set(held_out)) == len(held_out)):

@@ -257,35 +257,33 @@ def loss_expert(rows: ad.Tensor) -> ad.Tensor:
     return ad.sum_all(ad.scale(ad.sum_rows(rows), 1.0 / rows.data.shape[-1]))
 
 
-def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict, _validate=True) -> ad.Tensor:
+def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict) -> ad.Tensor:
     """The target model's loss on logits ``z``; one softmax of ``z`` feeds every term.
 
     ``guides`` holds constants: ``y`` (one-hot labels) and, where the kind uses them,
-    ``q_expert``, ``z_expert``, ``q_teacher`` and ``kd_ce_weight``. ermp_w_expt weights
-    each row by the cross entropy of ``q_expert`` against ``y``, the experts' row loss.
-    ``_validate=False`` skips the checks of ``y`` and of kd_ce's ``q_expert``, for labels
-    ``one_hot`` built and probabilities ``softmax_np`` built.
+    ``q_expert``, ``z_expert``, ``q_teacher`` and ``kd_ce_weight``. ls takes its cross
+    entropy against the smoothed labels. ermp_w_expt weights each row by the cross
+    entropy of ``q_expert`` against ``y``, the experts' row loss.
     """
     kind, alpha_half, y = method.kind, method.alpha_half, guides["y"]
     q = ad.softmax(z)
-    if kind == LS and method.ls_epsilon != 0.0:
-        smoothed = (1.0 - method.ls_epsilon) * y + method.ls_epsilon / y.shape[-1]
-        return ad.soft_cross_entropy(q, smoothed, _validate)
     if kind == KD_CE:
         weight = guides["kd_ce_weight"]
-        cla = ad.scale(ad.cross_entropy(q, y, _validate), 1.0 - weight)
+        cla = ad.scale(ad.cross_entropy(q, y), 1.0 - weight)
         if weight == 0.0:
             return cla
-        kd = ad.soft_cross_entropy(q, guides["q_expert"], _validate)
+        kd = ad.cross_entropy(q, guides["q_expert"])
         return ad.add(cla, ad.scale(kd, weight))
     if kind in (ERMP_W_EXPT, ERMP_W_SELF) and method.hard_weight_beta != 0.0:
-        v = ad.cross_entropy_rows(q, y, _validate)
+        v = ad.cross_entropy_rows(q, y)
         if alpha_half != 0.0:
             v = ad.add(v, ad.scale(ad.sq_norm_rows(z, y), alpha_half))
-        ref = (ad.cross_entropy_rows(ad.tensor(guides["q_expert"]), y, _validate).data
+        ref = (ad.cross_entropy_rows(ad.tensor(guides["q_expert"]), y).data
                if kind == ERMP_W_EXPT else v.data)
         return ad.weighted_mean(v, hard_weights(ref, method.hard_weight_beta))
-    cla = ad.cross_entropy(q, y, _validate)
+    if kind == LS:
+        y = (1.0 - method.ls_epsilon) * y + method.ls_epsilon / y.shape[-1]
+    cla = ad.cross_entropy(q, y)
     pair = METHODS[kind].guidance
     if pair is None or alpha_half == 0.0:
         return cla
@@ -611,7 +609,7 @@ def _trained_steps(sources, config, stacked, opt, record, key):
         batch = make_batches(sources, config.batch_per_domain, config.seed, step)
         z = mm.forward(stacked, ad.tensor(batch.xs))
         y = one_hot(batch.y_all, k).reshape(*batch.ys.shape, k)
-        term = loss_expert(ad.cross_entropy_rows(ad.softmax(z), y, _validate=False))
+        term = loss_expert(ad.cross_entropy_rows(ad.softmax(z), y))
         opt.update(term)
         if step == steps - 1:                   # the last update is in: free the optimizer
             opt.release()
@@ -710,7 +708,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
                 guides.update(q_expert=softmax_np(ex.logits), z_expert=ex.logits)
             if teacher is not None:
                 guides["q_teacher"] = softmax_np(mm.forward_array(teacher, batch.x_all))
-            t_loss = target_loss(head_method, z, guides, _validate=False)
+            t_loss = target_loss(head_method, z, guides)
             if not method_kind.aggregate:
                 target_loss_trace[step] = t_loss.item()
             loss = t_loss if loss is None else ad.add(loss, t_loss)
@@ -736,7 +734,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     q_expert = expert_probe_probs[selected_index]
     if q_expert is not None:
         result.expert_probe_losses = ad.cross_entropy_rows(
-            ad.tensor(q_expert), one_hot(probe.y, k), _validate=False).data
+            ad.tensor(q_expert), one_hot(probe.y, k)).data
     if held_out is not None:
         agg, sel = method_kind.aggregate, result.selected
         arrays = sel.weighting_params if agg else sel.target_params

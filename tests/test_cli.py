@@ -553,6 +553,8 @@ class TestSweep:
                   '{"kind": "lfme", "alpha_half": 10}]', "'lfme' is listed twice"),
         ("sweep", 'methods=[{"kind": "erm"}, {"kind": "erm"}]', "'erm' is listed twice"),
         ("train", "held_out=[1, 1]", "config.held_out"),
+        ("train", "seeds=[1, 1]", "config.seeds"),
+        ("sweep", "seeds=[0, 0]", "config.seeds"),
         ("train", "held_out=[]", "config.held_out"),
         ("sweep", "held_out=[]", "config.held_out"),
         ("sweep", "alpha_grid=[]", "config.alpha_grid"),

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -215,13 +215,10 @@ def run_dir(output: Path, method_name: str, seed: int, held_out: int) -> Path:
     return output / method_name / f"seed{seed}" / f"heldout{held_out}"
 
 
-def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
-    suite = build_suite(config, seed=seed)
+def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> Path:
     train_cfg = build_train_config(config, seed)
     method = build_method(method_cfg)
-    byid = {ds.domain_id: ds for ds in suite}
-    held_ds = byid[held]
-    sources = [ds for ds in suite if ds.domain_id != held]
+    held = held_ds.domain_id
     run = run_method(sources, method, train_cfg, held_out=held_ds)
     report = report_from_run(run)
 
@@ -230,14 +227,11 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
 
     rows = []
     for ev in run.evals:
-        metrics = {"target_loss": ev.target_loss}
-        for d in sorted(ev.train_acc):
-            metrics[f"train_acc_d{d}"] = ev.train_acc[d]
-        for d in sorted(ev.val_acc):
-            metrics[f"val_acc_d{d}"] = ev.val_acc[d]
-        metrics["mean_val_acc"] = ev.mean_val_acc
-        metrics["val_entropy"] = ev.val_entropy
-        metrics["probe_logit_sum"] = ev.probe_logit_sum
+        metrics = {"target_loss": ev.target_loss,
+                   **{f"train_acc_d{d}": ev.train_acc[d] for d in sorted(ev.train_acc)},
+                   **{f"val_acc_d{d}": ev.val_acc[d] for d in sorted(ev.val_acc)},
+                   "mean_val_acc": ev.mean_val_acc, "val_entropy": ev.val_entropy,
+                   "probe_logit_sum": ev.probe_logit_sum}
         for name, value in metrics.items():
             rows.append([*base, ev.step, name, fmt(value)])
     rows.append([*base, run.selected_step, "selected_step", run.selected_step])
@@ -247,14 +241,11 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
               ["method", "seed", "held_out_domain", "step", "metric", "value"], rows)
 
     if any(ev.expert_val_acc for ev in run.evals):
-        erows = []
-        for ev in run.evals:
-            for d in sorted(ev.expert_val_acc):
-                erows.append([*base, ev.step, f"expert_val_acc_d{d}", fmt(ev.expert_val_acc[d])])
-        for i, (rh, re) in enumerate(zip(report.ratio_hard_trace, report.ratio_easy_trace)):
-            step = run.evals[i].step
-            erows.append([*base, step, "ratio_hard", fmt(rh)])
-            erows.append([*base, step, "ratio_easy", fmt(re)])
+        erows = [[*base, ev.step, f"expert_val_acc_d{d}", fmt(ev.expert_val_acc[d])]
+                 for ev in run.evals for d in sorted(ev.expert_val_acc)]
+        for ev, rh, re in zip(run.evals, report.ratio_hard_trace, report.ratio_easy_trace):
+            erows.append([*base, ev.step, "ratio_hard", fmt(rh)])
+            erows.append([*base, ev.step, "ratio_easy", fmt(re)])
         write_csv(out / "experts.csv",
                   ["method", "seed", "held_out_domain", "step", "metric", "value"], erows)
 
@@ -280,9 +271,14 @@ def execute_job(config: dict, method_cfg: dict, seed: int, held: int) -> Path:
     return out
 
 
-def _job_wrapper(payload):
-    config, method_cfg, seed, held = payload
-    return str(execute_job(config, method_cfg, seed, held))
+def _run_group(group) -> list[str]:
+    """Build a ``train_jobs`` group's suite once and run its jobs in order; return their
+    run directories."""
+    (seed, held, _), jobs = group
+    suite = build_suite(jobs[0][0], seed=seed)
+    held_ds = next(ds for ds in suite if ds.domain_id == held)
+    sources = [ds for ds in suite if ds.domain_id != held]
+    return [str(execute_job(config, m, seed, sources, held_ds)) for config, m in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +295,21 @@ def _share_cpus(threads: int):
 def map_jobs(fn, payloads, jobs: int):
     """Yield ``fn(payload)`` for each payload of the list ``payloads``, in order.
 
-    ``jobs == 1`` runs in this process at its BLAS thread count. ``jobs > 1``
-    runs a pool of forked workers, each with ``max(1, cpus // jobs)`` BLAS
-    threads, so the workers together do not oversubscribe the CPUs. Either
-    way, ``train_run`` drops a small run to one thread (``SERIAL_BLAS_MADDS``).
-    The pool hands out ``jobs`` contiguous chunks, each run by one worker, so
-    neighbouring payloads that share experts share that worker's expert memo.
+    The pool is never larger than its work: it has ``min(jobs, len(payloads))``
+    workers. One worker runs in this process at its BLAS thread count; more are
+    forked, each with ``max(1, cpus // workers)`` BLAS threads, so the workers
+    together do not oversubscribe the CPUs. Either way, ``train_run`` drops a
+    small run to one thread (``SERIAL_BLAS_MADDS``).
     """
-    if jobs == 1:
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         yield from map(fn, payloads)
         return
     from concurrent.futures import ProcessPoolExecutor     # multiprocessing costs every import
-    threads = max(1, len(os.sched_getaffinity(0)) // jobs)
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus,
+    threads = max(1, len(os.sched_getaffinity(0)) // workers)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
                              initargs=(threads,)) as pool:
-        yield from pool.map(fn, payloads, chunksize=math.ceil(len(payloads) / jobs))
+        yield from pool.map(fn, payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +332,27 @@ def cmd_gen(args) -> int:
 
 
 def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
-    """Train every method x seed x held-out job of each config through one ``map_jobs``.
+    """Train every method x seed x held-out job of each config; return each config's
+    held-out ids.
 
-    Every config must have passed ``validate_config``. Each config's suite is
-    built before anything is written; then each config's ``config.json`` is
-    written. The jobs run ordered by (seed, held-out id), so the jobs that train
-    the same experts run one after another and replay them from the expert memo
-    (README "Expert memo"). Returns each config's held-out ids.
+    Every config must have passed ``validate_config``. Each config's suite is built
+    before anything is written; then each config's ``config.json`` is written. A group,
+    one ``map_jobs`` payload, is the jobs with one seed, one held-out domain and the same
+    ``suite`` and ``train`` sections: they share one suite and one expert trajectory
+    (README "Expert memo"). Groups run in (seed, held-out id) order.
     """
     helds = [held_out_ids(config, build_suite(config, seed=config["seeds"][0]))
              for config in configs]
     for config in configs:
         mm.atomic_write(Path(config["output"]) / "config.json",
                         lambda f: json.dump(config, f, indent=2))
-    payloads = sorted(((config, m, seed, h) for config, hs in zip(configs, helds)
-                       for m in config["methods"] for seed in config["seeds"] for h in hs),
-                      key=lambda payload: payload[2:])
-    for done in map_jobs(_job_wrapper, payloads, jobs):
-        print(f"finished {done}")
+    groups = {}     # (seed, held-out id, suite and train sections) -> [(config, method)]
+    for config, hs in zip(configs, helds):
+        sections = json.dumps([config["suite"], config["train"]], sort_keys=True)
+        for m, seed, h in itertools.product(config["methods"], config["seeds"], hs):
+            groups.setdefault((seed, h, sections), []).append((config, m))
+    for done in map_jobs(_run_group, sorted(groups.items(), key=lambda g: g[0][:2]), jobs):
+        print("\n".join(f"finished {path}" for path in done))
     return helds
 
 

@@ -32,6 +32,13 @@ def write_config(tmp_path, **overrides):
     return p, config
 
 
+def held_out_split(config):
+    """The sources and held-out domain 2 of seed 0's suite, as a ``train_jobs`` group
+    hands them to ``cli.execute_job``."""
+    suite = cli.build_suite(config, seed=0)
+    return [ds for ds in suite if ds.domain_id != 2], suite[2]
+
+
 def read_metrics(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
@@ -157,12 +164,14 @@ class TestTrain:
         assert outputs[tr.EXPERT_MEMO_BYTES] == outputs[0]
 
     def test_jobs_that_share_experts_stay_on_one_worker(self, tmp_path, monkeypatch):
-        # Each worker runs a contiguous chunk of the (seed, held-out) order, so each of the
-        # 2 x 3 groups trains its experts once. --jobs 2 runs first: forked workers would
-        # inherit an expert memo the --jobs 1 run left in this process.
-        methods = [{"kind": "lfme"}, {"kind": "erm"}, {"kind": "agg_avg"}]
+        # A (seed, held-out) group is one pool payload, so each group trains its experts
+        # once: 2 x 3 groups of three methods, then 3 groups of two methods on 2 workers,
+        # where no even split of the 6 jobs keeps every group whole. --jobs 2 runs first:
+        # forked workers would inherit an expert memo the --jobs 1 run left in this process.
+        lfme, erm, agg_avg = {"kind": "lfme"}, {"kind": "erm"}, {"kind": "agg_avg"}
+        cases = [([1, 0], [lfme, erm, agg_avg], "all", 6, 2 * 3 * (7 + 3 + 5)),
+                 ([0], [lfme, agg_avg], [0, 1, 2], 3, 3 * (7 + 5))]
         builds, calls, stack_models = tmp_path / "builds", itertools.count(), mm.stack_models
-        builds.mkdir()
 
         def counting_stack_models(models):
             # Forked workers inherit this patch; the count comes back by file.
@@ -170,21 +179,27 @@ class TestTrain:
             return stack_models(models)
 
         monkeypatch.setattr(mm, "stack_models", counting_stack_models)
-        trees = {}
-        for jobs in (2, 1):
-            out = tmp_path / f"out{jobs}"
-            cfg, _ = write_config(tmp_path, seeds=[1, 0], methods=methods, held_out="all",
-                                  output=str(out))
-            assert cli.main(["train", "-c", str(cfg), "--jobs", str(jobs)]) == 0
-            trees[jobs] = {p.relative_to(out): p.read_bytes()
-                           for p in sorted(out.glob("*/seed*/heldout*/*"))}
-            if jobs == 2:
-                assert len(list(builds.iterdir())) == 6
-        assert len(trees[1]) == 2 * 3 * (7 + 3 + 5)
-        assert trees[2] == trees[1]
+        for case, (seeds, methods, held_out, groups, n_files) in enumerate(cases):
+            tr._expert_memo.clear()
+            builds.mkdir()
+            trees = {}
+            for jobs in (2, 1):
+                out = tmp_path / f"out{case}-{jobs}"
+                cfg, _ = write_config(tmp_path, seeds=seeds, methods=methods,
+                                      held_out=held_out, output=str(out))
+                assert cli.main(["train", "-c", str(cfg), "--jobs", str(jobs)]) == 0
+                trees[jobs] = {p.relative_to(out): p.read_bytes()
+                               for p in sorted(out.glob("*/seed*/heldout*/*"))}
+                if jobs == 2:
+                    assert len(list(builds.iterdir())) == groups
+            shutil.rmtree(builds)
+            assert len(trees[1]) == n_files
+            assert trees[2] == trees[1]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_worker_blas_threads(self, tmp_path, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs, held_out", [(1, "all"), (2, "all"), (2, "last")],
+                             ids=["1", "2", "2-one-group"])
+    def test_worker_blas_threads(self, tmp_path, monkeypatch, jobs, held_out):
+        # The pool has min(jobs, groups) workers; a lone group runs in this process.
         calls = cli.blas_thread_calls()
         if calls is None:
             pytest.skip("numpy has no OpenBLAS loaded")
@@ -200,15 +215,25 @@ class TestTrain:
             return run_method(sources, method, train_config, held_out=held_out)
 
         monkeypatch.setattr(cli, "run_method", recording_run_method)
-        cfg, _ = write_config(tmp_path, held_out="all", train={"steps": 10, "eval_every": 5})
+        cfg, _ = write_config(tmp_path, held_out=held_out, train={"steps": 10, "eval_every": 5})
         assert cli.main(["train", "-c", str(cfg), "--jobs", str(jobs)]) == 0
         seen = [int(p.read_text()) for p in counts.iterdir()]
-        assert len(seen) == 3
-        if jobs == 1:
-            assert seen == [before] * 3
-        else:
-            assert seen == [max(1, len(os.sched_getaffinity(0)) // jobs)] * 3
+        groups = 3 if held_out == "all" else 1
+        workers = min(jobs, groups)
+        assert seen == [before if workers == 1
+                        else max(1, len(os.sched_getaffinity(0)) // workers)] * groups
         assert get_threads() == before
+
+    def test_each_group_builds_its_suite_once(self, tmp_path, monkeypatch):
+        # 2 seeds x 3 held-out domains: one build per group, plus the one that checks
+        # the held-out ids before anything is written.
+        real, seeds_built = cli.generate_suite, []
+        monkeypatch.setattr(cli, "generate_suite",
+                            lambda spec: seeds_built.append(spec.seed) or real(spec))
+        cfg, _ = write_config(tmp_path, seeds=[0, 1], held_out="all",
+                              methods=[{"kind": "erm"}, {"kind": "ls"}])
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        assert sorted(seeds_built) == [0] * 4 + [1] * 3
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
@@ -276,12 +301,13 @@ class TestTrain:
         _, config = write_config(tmp_path)
         fail_run_json_write(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            cli.execute_job(config, {"kind": "erm"}, 0, 2)
+            cli.execute_job(config, {"kind": "erm"}, 0, *held_out_split(config))
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
 
     def test_failed_checkpoint_write_leaves_no_checkpoint(self, tmp_path, monkeypatch):
         _, config = write_config(tmp_path)
+        split = held_out_split(config)
         contiguous = np.ascontiguousarray
         calls = []
 
@@ -294,7 +320,7 @@ class TestTrain:
 
         monkeypatch.setattr(np, "ascontiguousarray", convert_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            cli.execute_job(config, {"kind": "erm"}, 0, 2)
+            cli.execute_job(config, {"kind": "erm"}, 0, *split)
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv"]
 
@@ -339,7 +365,7 @@ class TestCompare:
         with monkeypatch.context() as patch:
             fail_run_json_write(patch)
             with pytest.raises(OSError, match="disk full"):
-                cli.execute_job(config, {"kind": "ls"}, 0, 2)
+                cli.execute_job(config, {"kind": "ls"}, 0, *held_out_split(config))
         rdir = cli.run_dir(tmp_path / "out", "ls", 0, 2)
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
         capsys.readouterr()
@@ -539,6 +565,14 @@ class TestSweep:
         assert summary[1][0] == "lfme"
         assert [float(v) for v in summary[1][1:4]] == pytest.approx(
             [float(swept[f"ood_acc_domain{h}"]) for h in range(3)], abs=5e-5)
+
+    def test_each_group_builds_its_suite_once(self, tmp_path, monkeypatch):
+        # The default grid of 7 values over 4 held-out domains: one build per grid value
+        # to check its held-out ids, then one per (seed, held-out) group.
+        real, builds = cli.generate_suite, []
+        monkeypatch.setattr(cli, "generate_suite", lambda spec: builds.append(1) or real(spec))
+        assert cli.main(["sweep", "--set", "train.steps=5", "-o", str(tmp_path / "out")]) == 0
+        assert len(builds) == len(cli.DEFAULT_ALPHA_GRID) + 4 == 11
 
     def test_held_out_last_is_honoured(self, tmp_path):
         cfg, _ = write_config(tmp_path, alpha_grid=[0.0, 1.0])     # held_out "last"

@@ -5,10 +5,12 @@ every output of each run. The hashes below were recorded with numpy 2.4.6 on
 scipy-openblas 0.3.31; another numpy or BLAS may round differently, so the
 check runs only on those versions. The 2-source digest is checked once more
 under ``OPENBLAS_NUM_THREADS=1``: the BLAS thread count changes no result.
+The four subprocesses run two at a time.
 """
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +49,22 @@ def digest(n_sources: int, **env) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+@pytest.fixture(scope="module")
+def digests():
+    """Every digest run of this module, started two at a time when the first test that
+    runs asks for one; a skipped test asks for none, so starts no subprocess."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = {n: pool.submit(digest, n) for n in sorted(DIGESTS)}
+        runs["one thread"] = pool.submit(digest, 2, OPENBLAS_NUM_THREADS="1")
+        yield runs
+
+
 @recorded
 @pytest.mark.parametrize("n_sources", sorted(DIGESTS))
-def test_overall_digest_is_unchanged(n_sources):
-    assert digest(n_sources) == f"overall {DIGESTS[n_sources]}"
+def test_overall_digest_is_unchanged(digests, n_sources):
+    assert digests[n_sources].result() == f"overall {DIGESTS[n_sources]}"
 
 
 @recorded
-def test_digest_on_one_blas_thread_is_unchanged():
-    assert digest(2, OPENBLAS_NUM_THREADS="1") == f"overall {DIGESTS[2]}"
+def test_digest_on_one_blas_thread_is_unchanged(digests):
+    assert digests["one thread"].result() == f"overall {DIGESTS[2]}"

@@ -109,7 +109,8 @@ def _check_sections(config: dict):
 
 
 def validate_config(config: dict):
-    """Check ``seeds``, ``held_out`` and the ``methods`` and ``train`` values, or raise.
+    """Check ``seeds``, ``held_out``, ``alpha_grid`` and the ``methods`` and ``train``
+    values, or raise.
 
     Takes a config whose sections ``_check_sections`` has checked. Each method and
     each seed's train config is built, so a malformed value fails with the error of
@@ -135,6 +136,7 @@ def validate_config(config: dict):
         kinds.add(kind)
     for seed in seeds:
         build_train_config(config, seed)
+    alpha_grid(config)
 
 
 def build_suite(config: dict, seed: int | None = None):
@@ -168,6 +170,8 @@ def build_method(cfg: dict) -> MethodSpec:
 
 def build_train_config(config: dict, seed: int) -> TrainConfig:
     kwargs = dict(config["train"])
+    if "seed" in kwargs:
+        raise CliError("config.train.seed is not read: each run's seed comes from config.seeds")
     kwargs["seed"] = seed
     if isinstance(kwargs.get("hidden_dims"), list):
         kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
@@ -272,12 +276,8 @@ def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> 
 
 
 def _run_group(group) -> list[str]:
-    """Build a ``train_jobs`` group's suite once and run its jobs in order; return their
-    run directories."""
-    (seed, held, _), jobs = group
-    suite = build_suite(jobs[0][0], seed=seed)
-    held_ds = next(ds for ds in suite if ds.domain_id == held)
-    sources = [ds for ds in suite if ds.domain_id != held]
+    """Run a ``train_jobs`` group's jobs in order; return their run directories."""
+    seed, sources, held_ds, jobs = group
     return [str(execute_job(config, m, seed, sources, held_ds)) for config, m in jobs]
 
 
@@ -331,27 +331,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
-    """Train every method x seed x held-out job of each config; return each config's
-    held-out ids.
+def train_jobs(config: dict, runs: list[tuple[str, list]], jobs: int) -> list[int]:
+    """Train every method x seed x held-out job of each run; return the held-out ids.
 
-    Every config must have passed ``validate_config``. Each config's suite is built
-    before anything is written; then each config's ``config.json`` is written. A group,
-    one ``map_jobs`` payload, is the jobs with one seed, one held-out domain and the same
-    ``suite`` and ``train`` sections: they share one suite and one expert trajectory
+    ``config`` must have passed ``validate_config``; a run is an ``(output, methods)``
+    pair, trained and written as ``dict(config, output=output, methods=methods)``. Each
+    seed's suite is built once, here, and the batch size checked against every source,
+    before anything is written. A group, one ``map_jobs`` payload, is ``(seed, sources,
+    held-out dataset, [(run config, method)])``: the jobs that share one expert trajectory
     (README "Expert memo"). Groups run in (seed, held-out id) order.
     """
-    helds = [held_out_ids(config, build_suite(config, seed=config["seeds"][0]))
-             for config in configs]
-    for config in configs:
-        mm.atomic_write(Path(config["output"]) / "config.json",
-                        lambda f: json.dump(config, f, indent=2))
-    groups = {}     # (seed, held-out id, suite and train sections) -> [(config, method)]
-    for config, hs in zip(configs, helds):
-        sections = json.dumps([config["suite"], config["train"]], sort_keys=True)
-        for m, seed, h in itertools.product(config["methods"], config["seeds"], hs):
-            groups.setdefault((seed, h, sections), []).append((config, m))
-    for done in map_jobs(_run_group, sorted(groups.items(), key=lambda g: g[0][:2]), jobs):
+    suites = {seed: build_suite(config, seed=seed) for seed in config["seeds"]}
+    helds = held_out_ids(config, suites[config["seeds"][0]])
+    batch = build_train_config(config, config["seeds"][0]).batch_per_domain
+    plan = [dict(config, output=output, methods=methods) for output, methods in runs]
+    groups = []
+    for seed, h in itertools.product(sorted(suites), sorted(helds)):
+        sources = [ds for ds in suites[seed] if ds.domain_id != h]
+        for ds in sources:
+            if batch > len(ds.train_idx):
+                raise CliError(f"config.train.batch_per_domain {batch} exceeds the "
+                               f"{len(ds.train_idx)} train rows of source {ds.name}")
+        groups.append((seed, sources, next(ds for ds in suites[seed] if ds.domain_id == h),
+                       [(run, m) for run in plan for m in run["methods"]]))
+    for run in plan:
+        mm.atomic_write(Path(run["output"]) / "config.json",
+                        lambda f: json.dump(run, f, indent=2))
+    for done in map_jobs(_run_group, groups, jobs):
         print("\n".join(f"finished {path}" for path in done))
     return helds
 
@@ -359,7 +365,8 @@ def train_jobs(configs: list[dict], jobs: int) -> list[list[int]]:
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    train_jobs([load_config(args)], args.jobs)
+    config = load_config(args)
+    train_jobs(config, [(config["output"], config["methods"])], args.jobs)
     return 0
 
 
@@ -482,8 +489,10 @@ def cmd_analyze(args) -> int:
 
 
 def alpha_grid(config: dict) -> list[float]:
-    """``config.alpha_grid`` as floats: a nonempty list of distinct finite numbers >= 0."""
-    grid = config["alpha_grid"]
+    """``config.alpha_grid`` as floats: a nonempty list of distinct finite numbers >= 0.
+
+    A library caller's config may leave the key out, for the default grid."""
+    grid = config.get("alpha_grid", DEFAULT_ALPHA_GRID)
     try:
         values = [float(a) for a in grid if type(a) in (int, float)]
     except (TypeError, OverflowError):
@@ -506,12 +515,11 @@ def cmd_sweep(args) -> int:
     grid = alpha_grid(config)
     out = Path(config["output"])
     seed = config["seeds"][0]
-    configs = [dict(config, methods=[{"kind": LFME, "alpha_half": a}], seeds=[seed],
-                    output=str(out / f"alpha{a!r}")) for a in grid]
-    helds = train_jobs(configs, 1)[0]     # every grid value holds out the same domains
+    runs = [(str(out / f"alpha{a!r}"), [{"kind": LFME, "alpha_half": a}]) for a in grid]
+    helds = train_jobs(dict(config, seeds=[seed]), runs, 1)
     rows = []
-    for a, cfg in zip(grid, configs):
-        accs = [json.loads((run_dir(Path(cfg["output"]), LFME, seed, h) / "run.json").read_text())
+    for a, (output, _) in zip(grid, runs):
+        accs = [json.loads((run_dir(Path(output), LFME, seed, h) / "run.json").read_text())
                 ["ood_accuracy"] for h in helds]
         rows.append([a, float(np.mean(accs)), *accs])
     header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in helds]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -225,15 +226,55 @@ class TestTrain:
         assert get_threads() == before
 
     def test_each_group_builds_its_suite_once(self, tmp_path, monkeypatch):
-        # 2 seeds x 3 held-out domains: one build per group, plus the one that checks
-        # the held-out ids before anything is written.
+        # 2 seeds x 3 held-out domains: the plan builds each seed's suite once, before
+        # anything is written, and its 6 groups build none.
         real, seeds_built = cli.generate_suite, []
         monkeypatch.setattr(cli, "generate_suite",
                             lambda spec: seeds_built.append(spec.seed) or real(spec))
         cfg, _ = write_config(tmp_path, seeds=[0, 1], held_out="all",
                               methods=[{"kind": "erm"}, {"kind": "ls"}])
         assert cli.main(["train", "-c", str(cfg)]) == 0
-        assert sorted(seeds_built) == [0] * 4 + [1] * 3
+        assert sorted(seeds_built) == [0, 1]
+
+    def test_workers_build_no_suite(self, tmp_path, monkeypatch):
+        # Each group carries its sources and held-out domain to the worker that runs it.
+        builds = tmp_path / "builds"
+        builds.mkdir()
+        real = cli.generate_suite
+
+        def counting_generate_suite(spec):
+            # Forked workers inherit this patch; the count comes back by file.
+            (builds / f"{os.getpid()}-{spec.seed}").touch()
+            return real(spec)
+
+        monkeypatch.setattr(cli, "generate_suite", counting_generate_suite)
+        cfg, _ = write_config(tmp_path, seeds=[1, 0], held_out="all",
+                              train={"steps": 10, "eval_every": 5})
+        assert cli.main(["train", "-c", str(cfg), "--jobs", "2"]) == 0
+        assert len(list((tmp_path / "out").glob("erm/seed*/heldout*/run.json"))) == 6
+        assert sorted(p.name for p in builds.iterdir()) == [f"{os.getpid()}-{s}" for s in (0, 1)]
+
+    def test_every_train_key_is_read(self, tmp_path):
+        # A valid value other than the default of each TrainConfig field either changes
+        # a tiny erm run's metrics or exits 1 with nothing written: no key is silently
+        # overridden.
+        values = {"optimizer": '"sgd"', "lr": "0.01", "weight_decay": "0.01", "steps": "40",
+                  "batch_per_domain": "8", "seed": "7", "eval_every": "20",
+                  "hidden_dims": "[8]", "probe_per_domain": "5"}
+        assert values.keys() == {f.name for f in dataclasses.fields(tr.TrainConfig)}
+        cfg, _ = write_config(tmp_path)
+        base = tmp_path / "base"
+        assert cli.main(["train", "-c", str(cfg), "-o", str(base)]) == 0
+        metrics = "erm/seed0/heldout2/metrics.csv"
+        for key, value in values.items():
+            out = tmp_path / key
+            code = cli.main(["train", "-c", str(cfg), "-o", str(out),
+                             "--set", f"train.{key}={value}"])
+            if code == 1:
+                assert not out.exists(), key
+            else:
+                assert code == 0, key
+                assert (out / metrics).read_bytes() != (base / metrics).read_bytes(), key
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
@@ -274,6 +315,9 @@ class TestTrain:
         ("methods={\"kind\": \"erm\"}", "config.methods must be"),
         ("train=5", "config.train"),
         ("suite=5", "config.suite"),
+        ("train.seed=7", "config.train.seed"),
+        ("alpha_grid=5", "config.alpha_grid"),
+        ("train.batch_per_domain=100000", "config.train.batch_per_domain"),
     ])
     def test_malformed_override_exit_code(self, tmp_path, capsys, override, key):
         cfg, _ = write_config(tmp_path)
@@ -567,12 +611,12 @@ class TestSweep:
             [float(swept[f"ood_acc_domain{h}"]) for h in range(3)], abs=5e-5)
 
     def test_each_group_builds_its_suite_once(self, tmp_path, monkeypatch):
-        # The default grid of 7 values over 4 held-out domains: one build per grid value
-        # to check its held-out ids, then one per (seed, held-out) group.
+        # The default grid of 7 values over 4 held-out domains is one plan on one seed:
+        # it builds that seed's suite once, and its 4 (seed, held-out) groups build none.
         real, builds = cli.generate_suite, []
         monkeypatch.setattr(cli, "generate_suite", lambda spec: builds.append(1) or real(spec))
         assert cli.main(["sweep", "--set", "train.steps=5", "-o", str(tmp_path / "out")]) == 0
-        assert len(builds) == len(cli.DEFAULT_ALPHA_GRID) + 4 == 11
+        assert len(builds) == 1
 
     def test_held_out_last_is_honoured(self, tmp_path):
         cfg, _ = write_config(tmp_path, alpha_grid=[0.0, 1.0])     # held_out "last"

@@ -4,7 +4,7 @@ Subcommands: gen (write suite CSVs), train (run methods x seeds x held-out
 domains), compare (summary tables), analyze (histograms and traces), sweep
 (guidance-weight grid, run as train jobs). Configuration is a JSON document;
 any key can be overridden with --set dotted.path=value. Exit codes: 0
-success, 1 bad configuration, 2 runtime failure.
+success, 1 bad configuration or command line, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import models as mm
 from .analysis import report_from_run
-from .domains import DataError, SuiteSpec, generate_suite, load_csv_suite
+from .domains import CSV_COLUMNS, DataError, SuiteSpec, generate_suite, load_csv_suite
 from .train import (LFME, ConfigError, MethodSpec, TrainConfig, blas_thread_calls, run_method,
                     softmax_np)
 
@@ -77,9 +77,6 @@ def load_config(args) -> dict:
         node[parts[-1]] = value
 
     _check_sections(config)
-    if getattr(args, "alpha_half", None) is not None:     # train only; reaches "all" too
-        for m in config["methods"]:
-            m["alpha_half"] = args.alpha_half
     if args.output is not None:
         config["output"] = args.output
 
@@ -142,12 +139,13 @@ def validate_config(config: dict):
 def build_suite(config: dict, seed: int | None = None):
     suite_cfg = dict(config["suite"])
     if "csv" in suite_cfg:
-        path = suite_cfg["csv"]
+        path = suite_cfg.pop("csv")
+        if suite_cfg:
+            raise CliError(f"config.suite.{min(suite_cfg)} is not read beside config.suite.csv")
         if not isinstance(path, str):
             raise CliError(f"config.suite.csv must be a path string, got {path!r}")
         try:
-            return load_csv_suite(path, suite_cfg.get("domain_column", "domain"),
-                                  suite_cfg.get("label_column", "label"))
+            return load_csv_suite(path)
         except OSError as e:
             raise CliError(f"config.suite.csv: {e}") from None
     if seed is not None:
@@ -322,7 +320,7 @@ def cmd_gen(args) -> int:
     out = Path(config["output"])
     out.mkdir(parents=True, exist_ok=True)
     d = suite[0].features.shape[1]
-    header = [f"f{i}" for i in range(d)] + ["domain", "label"]
+    header = [f"f{i}" for i in range(d)] + list(CSV_COLUMNS)
     for ds in suite:
         rows = [[f"{v:.17g}" for v in row] + [ds.domain_id, int(lab)]
                 for row, lab in zip(ds.features, ds.labels)]
@@ -433,16 +431,16 @@ def cmd_analyze(args) -> int:
     root = Path(args.run_dir)
     if not root.exists():
         raise CliError(f"run directory not found: {root}")
+    run_jsons = sorted(root.glob("*/seed*/heldout*/run.json"))
+    if not run_jsons:
+        raise CliError(f"no completed runs found in {root}")
     config_path = root / "config.json"
-    config = None
-    if config_path.exists():
-        with open(config_path) as f:
-            config = json.load(f)
+    config = json.loads(config_path.read_text()) if config_path.exists() else None
     analysis_dir = root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
     entropy_rows, suites = [], {}
-    for run_json in sorted(root.glob("*/seed*/heldout*/run.json")):
+    for run_json in run_jsons:
         rdir = run_json.parent
         with open(run_json) as f:
             info = json.load(f)
@@ -457,15 +455,13 @@ def cmd_analyze(args) -> int:
 
         rescale = rdir / "rescale.csv"
         if rescale.exists():
-            with open(rescale, newline="") as src:
-                data = src.read()
-            (analysis_dir / f"{name}_rescale.csv").write_text(data)
+            (analysis_dir / f"{name}_rescale.csv").write_bytes(rescale.read_bytes())
         elif info["method"].get("alpha_half", 1.0) == 0.0:
             print(f"notice: no rescale trace for {name} (guidance weight is 0)",
                   file=sys.stderr)
 
         ckpt = rdir / "target.ckpt"
-        if ckpt.exists() and config is not None and "csv" not in config.get("suite", {}):
+        if ckpt.exists() and config is not None:
             model = mm.load_checkpoint(ckpt).to_model()
             if info["seed"] not in suites:
                 suites[info["seed"]] = build_suite(config, seed=info["seed"])
@@ -531,8 +527,13 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lfme", description=__doc__)
+class ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):       # a usage error exits 1, like a bad configuration
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(prog="lfme", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -547,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train configured methods")
     common(p_train)
-    p_train.add_argument("--alpha-half", type=float, dest="alpha_half",
-                         help="guidance weight for every configured method")
     p_train.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_train.set_defaults(fn=cmd_train)
 
@@ -567,10 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:         # --help, once it has printed the help
+        return e.code
     except (CliError, ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

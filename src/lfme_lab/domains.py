@@ -20,6 +20,7 @@ VAL_FRACTION = 0.2
 # class means, so both blocks are equally separable within a source domain.
 SPURIOUS_MEAN_SCALE = 1.0
 MIN_ROTATION_DISTANCE = 0.1
+CSV_COLUMNS = ("domain", "label")      # of a suite CSV; every other column is a feature
 
 
 class DataError(Exception):
@@ -158,8 +159,8 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
     return datasets
 
 
-def load_csv_suite(path, domain_column, label_column) -> list[DomainDataset]:
-    """One DomainDataset per distinct domain value of a numeric-feature CSV.
+def load_csv_suite(path) -> list[DomainDataset]:
+    """One DomainDataset per distinct domain value of a ``CSV_COLUMNS`` suite CSV.
 
     Features are standardized to zero mean and unit variance over the pooled
     rows; a constant column is only centered.
@@ -170,11 +171,10 @@ def load_csv_suite(path, domain_column, label_column) -> list[DomainDataset]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        missing = [c for c in (domain_column, label_column) if c not in header]
+        missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        dom_i = header.index(domain_column)
-        lab_i = header.index(label_column)
+        dom_i, lab_i = (header.index(c) for c in CSV_COLUMNS)
         feat_cols = [i for i in range(len(header)) if i not in (dom_i, lab_i)]
         if not feat_cols:
             raise DataError(f"{path}: no feature columns")

@@ -660,9 +660,9 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     """``train_run``'s loop, on the thread count ``train_run`` chose.
 
     Each step reads the experts' ``ExpertStep``, trained or replayed alike: the head
-    trains on their batch (or builds one after a replay), with their term as a constant
-    in the loss and, for a target, their logits and ``q^E``, the logits' softmax, as
-    guides. After the last update each optimizer is released and dropped, so the last
+    trains on their batch (or builds one after a replay), for a target with their logits
+    and ``q^E``, the logits' softmax, as guides; their term only adds to ``loss_trace``.
+    After the last update each optimizer is released and dropped, so the last
     evaluation runs without them. After the loop the live models and their
     flat data buffers are dropped: the run is scored from its records alone, the held-out
     score from the selected point's parameter copies and the expert probe losses from
@@ -698,7 +698,7 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     expert_probe_probs = []             # per eval point, None without experts
 
     for step, ex in enumerate(expert_steps):
-        loss = None if ex.term is None else ad.tensor(ex.term)
+        loss = ex.term
         if head is not None:
             batch = make_batches(sources, b, config.seed, step) if ex.batch is None else ex.batch
             z = mm.forward(head, ad.tensor(batch.x_all))
@@ -711,12 +711,12 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
             t_loss = target_loss(head_method, z, guides)
             if not method_kind.aggregate:
                 target_loss_trace[step] = t_loss.item()
-            loss = t_loss if loss is None else ad.add(loss, t_loss)
-            opt.update(loss)
+            opt.update(t_loss)
             if step == config.steps - 1:        # the last update is in: free the optimizer
                 opt.release()
                 opt = None
-        loss_trace[step] = loss.item()
+            loss = t_loss.data if loss is None else loss + t_loss.data
+        loss_trace[step] = loss
         if _evaluates(step, config):
             ev, q_expert = _evaluate(step, sources, method, head, ex.models, probe,
                                      pooled_val_x, float(target_loss_trace[step]))

@@ -40,6 +40,20 @@ def held_out_split(config):
     return [ds for ds in suite if ds.domain_id != 2], suite[2]
 
 
+def write_suite_csv(tmp_path):
+    """``gen``'s domain files of ``write_config``'s suite, merged into one suite CSV;
+    return its path and the generated suite."""
+    cfg, config = write_config(tmp_path, output=str(tmp_path / "gen"))
+    assert cli.main(["gen", "-c", str(cfg)]) == 0
+    lines = []
+    for i, f in enumerate(sorted((tmp_path / "gen").glob("domain_*.csv"))):
+        text = f.read_text().splitlines()
+        lines.extend(text if i == 0 else text[1:])
+    merged = tmp_path / "all.csv"
+    merged.write_text("\n".join(lines) + "\n")
+    return merged, cli.build_suite(config)
+
+
 def read_metrics(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
@@ -70,17 +84,8 @@ class TestGen:
             assert len(rows) == 151     # header + n_per_domain
 
     def test_round_trip(self, tmp_path):
-        cfg, config = write_config(tmp_path)
-        cli.main(["gen", "-c", str(cfg)])
-        from lfme_lab.domains import SuiteSpec, generate_suite
-        suite = generate_suite(SuiteSpec(**config["suite"]))
-        merged = tmp_path / "all.csv"
-        lines = []
-        for i, f in enumerate(sorted((tmp_path / "out").glob("domain_*.csv"))):
-            text = f.read_text().splitlines()
-            lines.extend(text if i == 0 else text[1:])
-        merged.write_text("\n".join(lines) + "\n")
-        loaded = load_csv_suite(merged, "domain", "label")
+        merged, suite = write_suite_csv(tmp_path)
+        loaded = load_csv_suite(merged)
         # The loader standardizes over the pooled rows, so the written values must come
         # back exactly: the same arithmetic on the same numbers.
         pooled = np.concatenate([orig.features for orig in suite])
@@ -276,7 +281,26 @@ class TestTrain:
                 assert code == 0, key
                 assert (out / metrics).read_bytes() != (base / metrics).read_bytes(), key
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_parallel_jobs_match_serial_for_guided_kinds(self, tmp_path):
+        # The kinds that test_parallel_jobs_match_serial leaves out: lfme_guid's teacher,
+        # agg_dyn's weighting net and kd_ce's ramp, one (seed, held-out) group per worker.
+        methods = [{"kind": k} for k in ("lfme", "lfme_guid", "agg_dyn", "kd_ce")]
+        trees = {}
+        for jobs in ("2", "1"):
+            tr._expert_memo.clear()
+            out = tmp_path / f"out{jobs}"
+            cfg, _ = write_config(tmp_path, seeds=[1, 0], methods=methods, output=str(out),
+                                  train={"steps": 30, "eval_every": 15,
+                                         "batch_per_domain": 16})
+            assert cli.main(["train", "-c", str(cfg), "--jobs", jobs]) == 0
+            config = json.loads((out / "config.json").read_text())
+            assert config.pop("output") == str(out)
+            trees[jobs] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                           if p.is_file() and p.name != "config.json"}, config
+        assert len(trees["1"][0]) == 2 * (7 + 3 + 5 + 6)     # lfme, lfme_guid, agg_dyn, kd_ce
+        assert trees["2"] == trees["1"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "x", "1.5"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
         cfg, _ = write_config(tmp_path)
         assert cli.main(["train", "-c", str(cfg), "--jobs", jobs]) == 1
@@ -338,8 +362,21 @@ class TestTrain:
     def test_bad_csv_path_exit_code(self, tmp_path, capsys, csv_path):
         # An integer path would otherwise be opened as a file descriptor.
         cfg, _ = write_config(tmp_path)
-        assert cli.main(["train", "-c", str(cfg), "--set", f"suite.csv={csv_path}"]) == 1
+        assert cli.main(["train", "-c", str(cfg), "--set", f'suite={{"csv": {csv_path}}}']) == 1
         assert capsys.readouterr().err.startswith("error: config.suite.csv")
+
+    @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
+    @pytest.mark.parametrize("override, key", [("suite.n_domains=9", "config.suite.n_domains"),
+                                               ('suite.lable_column="y"',
+                                                "config.suite.lable_column")])
+    def test_csv_suite_takes_no_other_key(self, tmp_path, capsys, command, override, key):
+        merged, _ = write_suite_csv(tmp_path)
+        cfg, _ = write_config(tmp_path, suite={"csv": str(merged)})
+        capsys.readouterr()
+        assert cli.main([command, "-c", str(cfg), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} is not read")
+        assert not (tmp_path / "out").exists()
 
     def test_failed_run_json_write_leaves_no_run_json(self, tmp_path, monkeypatch):
         _, config = write_config(tmp_path)
@@ -444,6 +481,32 @@ class TestAnalyze:
         assert cli.main(["analyze", str(tmp_path / "out")]) == 0
         assert "no rescale trace" in capsys.readouterr().err
 
+    def test_csv_suite_histograms(self, tmp_path):
+        # A suite read from a CSV is built for analysis like a generated one.
+        merged, suite = write_suite_csv(tmp_path)
+        cfg, _ = write_config(tmp_path, suite={"csv": str(merged)})
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        assert cli.main(["analyze", str(tmp_path / "out")]) == 0
+        adir = tmp_path / "out" / "analysis"
+        for tag in ("logits", "probs"):
+            with open(adir / f"erm_seed0_heldout2_hist_{tag}.csv", newline="") as f:
+                total = sum(int(r["count"]) for r in csv.DictReader(f))
+            assert total == sum(len(ds.val_idx) for ds in suite[:2]) * 3
+
+    @pytest.mark.parametrize("tree", ["empty", "sweep"])
+    def test_no_completed_runs_exit_code(self, tmp_path, capsys, tree):
+        # A sweep root holds its runs one level deeper, under alpha<value>/.
+        root = tmp_path / "out"
+        if tree == "sweep":
+            cfg, _ = write_config(tmp_path, alpha_grid=[0.0], train={"steps": 4})
+            assert cli.main(["sweep", "-c", str(cfg)]) == 0
+        else:
+            root.mkdir()
+        capsys.readouterr()
+        assert cli.main(["analyze", str(root)]) == 1
+        assert "no completed runs found" in capsys.readouterr().err
+        assert not (root / "analysis").exists()
+
 
     def test_each_seed_suite_built_once(self, tmp_path, monkeypatch):
         cfg, _ = write_config(tmp_path, seeds=[0, 1], held_out="all")
@@ -496,14 +559,6 @@ class TestConfigHandling:
         assert loaded["train"]["steps"] == 99
         assert loaded["suite"]["noise"] == 0.7
 
-    def test_all_methods_take_alpha_half(self, tmp_path):
-        cfg, _ = write_config(tmp_path)
-        args = _Args(config=str(cfg), set=['methods="all"'])
-        args.alpha_half = 0.5
-        loaded = cli.load_config(args)
-        assert len(loaded["methods"]) == len(cli.ALL_METHODS_PRESET) > 1
-        assert all(m["alpha_half"] == 0.5 for m in loaded["methods"])
-
     @pytest.mark.parametrize("command", ["train", "compare", "gen"])
     @pytest.mark.parametrize("override, key", [
         (f"suite.noise={10 ** 22}", "noise"),
@@ -533,16 +588,29 @@ class TestConfigHandling:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_each_command_takes_only_its_options(self):
-        # --set is the one way to set a config value; train adds --alpha-half, which
-        # also reaches methods: "all", and --jobs.
+        # --set is the one way to set a config value; train adds --jobs.
         subparsers = next(a for a in cli.build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         options = {name: sorted(o for a in p._actions for o in a.option_strings)
                    for name, p in subparsers.choices.items()}
         common = ["--config", "--help", "--output", "--set", "-c", "-h", "-o"]
         assert options == {"gen": common, "compare": common, "sweep": common,
-                           "train": sorted(common + ["--alpha-half", "--jobs"]),
+                           "train": sorted(common + ["--jobs"]),
                            "analyze": ["--help", "-h"]}
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["train", "--bogus"],
+                                      ["train", "--alpha-half", "1"], ["analyze"]],
+                             ids=["no-command", "unknown-command", "unknown-option",
+                                  "alpha-half", "no-run-dir"])
+    def test_usage_error_exit_code(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "usage: lfme" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]], ids=["lfme", "train"])
+    def test_help_exit_code(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: lfme")
 
     @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
     def test_sections_are_checked_once_per_command(self, tmp_path, monkeypatch, command):
@@ -656,5 +724,4 @@ class _Args:
     def __init__(self, config=None, set=None):
         self.config = config
         self.set = set
-        self.alpha_half = None
         self.output = None

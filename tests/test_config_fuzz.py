@@ -15,7 +15,7 @@ from lfme_lab.train import MethodSpec, TrainConfig
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-# Every key a config may set, except suite.csv and its column names (CSV ingestion).
+# Every key a config may set, except suite.csv (CSV ingestion, which takes no other key).
 # ``exit_code`` always passes --output, so a drawn ``output`` value never names a real path.
 KEYS = (["suite", "train", "methods", "seeds", "held_out", "output", "alpha_grid"]
         + [f"{section}.{f.name}" for section, spec in

@@ -76,7 +76,7 @@ class TestCsv:
 
     def test_two_rows_two_domains(self, tmp_path):
         p = self.write(tmp_path, "f0,f1,domain,label\n1.0,2.0,a,0\n3.0,4.0,b,1\n")
-        suite = load_csv_suite(p, "domain", "label")
+        suite = load_csv_suite(p)
         assert len(suite) == 2
         assert all(len(ds.labels) == 1 for ds in suite)
 
@@ -86,7 +86,7 @@ class TestCsv:
         for i in range(60):
             lines.append(f"{rng.normal(3):.6f},{rng.normal(-2, 5):.6f},d{i % 2},{i % 3}")
         p = self.write(tmp_path, "\n".join(lines) + "\n")
-        suite = load_csv_suite(p, "domain", "label")
+        suite = load_csv_suite(p)
         pooled = np.concatenate([ds.features for ds in suite])
         assert np.all(np.abs(pooled.mean(axis=0)) < 1e-9)
         assert np.allclose(pooled.std(axis=0), 1.0)
@@ -94,22 +94,22 @@ class TestCsv:
     def test_non_numeric_cell(self, tmp_path):
         p = self.write(tmp_path, "f0,domain,label\nx,a,0\n2.0,b,1\n")
         with pytest.raises(DataError, match="row 2"):
-            load_csv_suite(p, "domain", "label")
+            load_csv_suite(p)
 
     def test_missing_columns(self, tmp_path):
         p = self.write(tmp_path, "f0,f1\n1.0,2.0\n")
         with pytest.raises(DataError, match="missing columns"):
-            load_csv_suite(p, "domain", "label")
+            load_csv_suite(p)
 
     def test_label_gap_rejected(self, tmp_path):
         p = self.write(tmp_path, "f0,domain,label\n1.0,a,0\n2.0,b,2\n")
         with pytest.raises(DataError, match="contiguous"):
-            load_csv_suite(p, "domain", "label")
+            load_csv_suite(p)
 
     def test_single_domain_rejected(self, tmp_path):
         p = self.write(tmp_path, "f0,domain,label\n1.0,a,0\n2.0,a,1\n")
         with pytest.raises(DataError, match="2 distinct domains"):
-            load_csv_suite(p, "domain", "label")
+            load_csv_suite(p)
 
 
 class TestBatches:

@@ -36,7 +36,7 @@ ALL_METHODS_PRESET = [
     {"kind": "self_guid"}, {"kind": "ermp_w_expt"}, {"kind": "ermp_w_self"},
 ]
 
-# Every top-level config key with its default; ``_check_sections`` rejects any other key.
+# Every top-level config key with its default; ``validate_config`` rejects any other key.
 CONFIG_DEFAULTS = {"suite": {}, "train": {}, "methods": [{"kind": "erm"}], "seeds": [0],
                    "held_out": "all", "output": "out", "alpha_grid": DEFAULT_ALPHA_GRID}
 
@@ -57,7 +57,7 @@ def load_config(args) -> dict:
             raise CliError(f"config is not valid JSON: {e}") from None
         if not isinstance(config, dict):
             raise CliError(f"config must be a JSON object, got {config!r}")
-    for key, default in CONFIG_DEFAULTS.items():
+    for key, default in CONFIG_DEFAULTS.items():    # before --set: config.json's key order
         config.setdefault(key, copy.deepcopy(default))
 
     for item in args.set or []:
@@ -76,19 +76,22 @@ def load_config(args) -> dict:
                 raise CliError(f"--set {key}: config.{'.'.join(parts[:i + 1])} is not an object")
         node[parts[-1]] = value
 
-    _check_sections(config)
     if args.output is not None:
         config["output"] = args.output
-
-    if not isinstance(config["output"], str) or not config["output"]:
-        raise CliError(f"config.output must be a nonempty path string, got {config['output']!r}")
     validate_config(config)
     return config
 
 
-def _check_sections(config: dict):
-    """Expand ``methods: "all"`` and reject an unknown key or a section of the wrong type,
-    naming it."""
+def validate_config(config: dict):
+    """Make ``config`` a valid config in place, or raise a ``CliError`` naming the bad key.
+
+    Fills each missing top-level key from ``CONFIG_DEFAULTS`` and expands ``methods:
+    "all"``. Each method and each seed's train config is built, so a malformed value
+    fails with the error of the spec that owns it. The suite values are checked where
+    the suite is built (``build_suite``).
+    """
+    for key, default in CONFIG_DEFAULTS.items():
+        config.setdefault(key, copy.deepcopy(default))
     unknown = sorted(config.keys() - CONFIG_DEFAULTS.keys())
     if unknown:
         raise CliError(f"unknown config key {unknown[0]!r}; known keys: {list(CONFIG_DEFAULTS)}")
@@ -103,17 +106,8 @@ def _check_sections(config: dict):
     for i, m in enumerate(methods):
         if not isinstance(m, dict):
             raise CliError(f"config.methods[{i}] must be an object, got {m!r}")
-
-
-def validate_config(config: dict):
-    """Check ``seeds``, ``held_out``, ``alpha_grid`` and the ``methods`` and ``train``
-    values, or raise.
-
-    Takes a config whose sections ``_check_sections`` has checked. Each method and
-    each seed's train config is built, so a malformed value fails with the error of
-    the spec that owns it. The suite values are checked where the suite is built
-    (``build_suite``), and ``output`` in ``load_config``.
-    """
+    if not isinstance(config["output"], str) or not config["output"]:
+        raise CliError(f"config.output must be a nonempty path string, got {config['output']!r}")
     seeds, held_out = config["seeds"], config["held_out"]
     if not isinstance(seeds, list) or not seeds or not all(
             type(s) is int and 0 <= s < 2 ** 64 for s in seeds) or len(set(seeds)) != len(seeds):
@@ -171,8 +165,6 @@ def build_train_config(config: dict, seed: int) -> TrainConfig:
     if "seed" in kwargs:
         raise CliError("config.train.seed is not read: each run's seed comes from config.seeds")
     kwargs["seed"] = seed
-    if isinstance(kwargs.get("hidden_dims"), list):
-        kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
     try:
         tc = TrainConfig(**kwargs)
         tc.validate()
@@ -207,12 +199,6 @@ def write_csv(path: Path, header, rows):
     mm.atomic_write(path, writer)
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def run_dir(output: Path, method_name: str, seed: int, held_out: int) -> Path:
     return output / method_name / f"seed{seed}" / f"heldout{held_out}"
 
@@ -235,24 +221,24 @@ def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> 
                    "mean_val_acc": ev.mean_val_acc, "val_entropy": ev.val_entropy,
                    "probe_logit_sum": ev.probe_logit_sum}
         for name, value in metrics.items():
-            rows.append([*base, ev.step, name, fmt(value)])
+            rows.append([*base, ev.step, name, repr(value)])
     rows.append([*base, run.selected_step, "selected_step", run.selected_step])
     if run.ood_accuracy is not None:
-        rows.append([*base, run.selected_step, "ood_accuracy", fmt(run.ood_accuracy)])
+        rows.append([*base, run.selected_step, "ood_accuracy", repr(run.ood_accuracy)])
     write_csv(out / "metrics.csv",
               ["method", "seed", "held_out_domain", "step", "metric", "value"], rows)
 
     if any(ev.expert_val_acc for ev in run.evals):
-        erows = [[*base, ev.step, f"expert_val_acc_d{d}", fmt(ev.expert_val_acc[d])]
+        erows = [[*base, ev.step, f"expert_val_acc_d{d}", repr(ev.expert_val_acc[d])]
                  for ev in run.evals for d in sorted(ev.expert_val_acc)]
         for ev, rh, re in zip(run.evals, report.ratio_hard_trace, report.ratio_easy_trace):
-            erows.append([*base, ev.step, "ratio_hard", fmt(rh)])
-            erows.append([*base, ev.step, "ratio_easy", fmt(re)])
+            erows.append([*base, ev.step, "ratio_hard", repr(rh)])
+            erows.append([*base, ev.step, "ratio_easy", repr(re)])
         write_csv(out / "experts.csv",
                   ["method", "seed", "held_out_domain", "step", "metric", "value"], erows)
 
     if any(ev.rescale_f is not None for ev in run.evals):
-        rrows = [[ev.step, fmt(ev.rescale_f), fmt(ev.rescale_fp)]
+        rrows = [[ev.step, repr(ev.rescale_f), repr(ev.rescale_fp)]
                  for ev in run.evals if ev.rescale_f is not None]
         write_csv(out / "rescale.csv", ["step", "mean_f", "mean_fp"], rrows)
 
@@ -334,18 +320,23 @@ def train_jobs(config: dict, runs: list[tuple[str, list]], jobs: int) -> list[in
 
     ``config`` must have passed ``validate_config``; a run is an ``(output, methods)``
     pair, trained and written as ``dict(config, output=output, methods=methods)``. Each
-    seed's suite is built once, here, and the batch size checked against every source,
-    before anything is written. A group, one ``map_jobs`` payload, is ``(seed, sources,
-    held-out dataset, [(run config, method)])``: the jobs that share one expert trajectory
-    (README "Expert memo"). Groups run in (seed, held-out id) order.
+    seed's suite is built once, here (a CSV suite, which no seed changes, once for all),
+    and each group's sources are checked, two or more and each holding a batch, before
+    anything is written. A group, one ``map_jobs`` payload, is ``(seed, sources, held-out
+    dataset, [(run config, method)])``: the jobs that share one expert trajectory (README
+    "Expert memo"). Groups run in (seed, held-out id) order.
     """
-    suites = {seed: build_suite(config, seed=seed) for seed in config["seeds"]}
+    shared = build_suite(config) if "csv" in config["suite"] else None
+    suites = {seed: shared or build_suite(config, seed=seed) for seed in config["seeds"]}
     helds = held_out_ids(config, suites[config["seeds"][0]])
     batch = build_train_config(config, config["seeds"][0]).batch_per_domain
     plan = [dict(config, output=output, methods=methods) for output, methods in runs]
     groups = []
     for seed, h in itertools.product(sorted(suites), sorted(helds)):
         sources = [ds for ds in suites[seed] if ds.domain_id != h]
+        if len(sources) < 2:
+            raise CliError(f"config.suite has {len(suites[seed])} domains; a run needs at "
+                           "least 2 source domains beside the held-out one")
         for ds in sources:
             if batch > len(ds.train_idx):
                 raise CliError(f"config.train.batch_per_domain {batch} exceeds the "
@@ -451,7 +442,7 @@ def cmd_analyze(args) -> int:
         ent = [float(r["value"]) for r in metric_rows if r["metric"] == "val_entropy"]
         if ent:
             entropy_rows.append([info["method"]["kind"], info["seed"], info["held_out"],
-                                 fmt(ent[-1])])
+                                 repr(ent[-1])])
 
         rescale = rdir / "rescale.csv"
         if rescale.exists():
@@ -463,9 +454,10 @@ def cmd_analyze(args) -> int:
         ckpt = rdir / "target.ckpt"
         if ckpt.exists() and config is not None:
             model = mm.load_checkpoint(ckpt).to_model()
-            if info["seed"] not in suites:
-                suites[info["seed"]] = build_suite(config, seed=info["seed"])
-            suite = suites[info["seed"]]
+            seed = None if "csv" in config["suite"] else info["seed"]    # one CSV suite, all seeds
+            if seed not in suites:
+                suites[seed] = build_suite(config, seed=seed)
+            suite = suites[seed]
             sources = [ds for ds in suite if ds.domain_id != info["held_out"]]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
             z = mm.forward_array(model, x)
@@ -474,7 +466,7 @@ def cmd_analyze(args) -> int:
                 counts, edges = np.histogram(values, bins=50)
                 write_csv(analysis_dir / f"{name}_hist_{tag}.csv",
                           ["bin_left", "bin_right", "count"],
-                          [[fmt(float(edges[i])), fmt(float(edges[i + 1])), int(c)]
+                          [[repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
                            for i, c in enumerate(counts)])
 
     if entropy_rows:
@@ -485,10 +477,8 @@ def cmd_analyze(args) -> int:
 
 
 def alpha_grid(config: dict) -> list[float]:
-    """``config.alpha_grid`` as floats: a nonempty list of distinct finite numbers >= 0.
-
-    A library caller's config may leave the key out, for the default grid."""
-    grid = config.get("alpha_grid", DEFAULT_ALPHA_GRID)
+    """``config.alpha_grid`` as floats: a nonempty list of distinct finite numbers >= 0."""
+    grid = config["alpha_grid"]
     try:
         values = [float(a) for a in grid if type(a) in (int, float)]
     except (TypeError, OverflowError):
@@ -519,7 +509,7 @@ def cmd_sweep(args) -> int:
                 ["ood_accuracy"] for h in helds]
         rows.append([a, float(np.mean(accs)), *accs])
     header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in helds]
-    write_csv(out / "sweep.csv", header, [[fmt(v) for v in r] for r in rows])
+    write_csv(out / "sweep.csv", header, [[repr(v) for v in r] for r in rows])
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

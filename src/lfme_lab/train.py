@@ -16,7 +16,6 @@ with the same data and config replays it (README "Expert memo").
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -131,6 +130,10 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN
     probe_per_domain: int = 40
 
+    def __post_init__(self):    # a JSON config's list: runs and the expert key read a tuple
+        if isinstance(self.hidden_dims, list):
+            object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+
     def validate(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
@@ -142,7 +145,7 @@ class TrainConfig:
         if self.seed < 0 or self.probe_per_domain <= 0:
             raise ConfigError(f"seed must be >= 0 and probe_per_domain positive, got "
                               f"{self.seed} and {self.probe_per_domain}")
-        if not isinstance(self.hidden_dims, (tuple, list)) or not all(
+        if not isinstance(self.hidden_dims, tuple) or not all(
                 isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
                 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
@@ -527,7 +530,6 @@ def expert_key(sources: list[DomainDataset], config: TrainConfig, dims) -> str:
             h.update(f"{a.dtype.str}{a.shape};".encode())
             h.update(np.ascontiguousarray(a))
         h.update(f"{ds.domain_id};".encode())
-    config = dataclasses.replace(config, hidden_dims=tuple(config.hidden_dims))
     h.update(repr((list(dims), config)).encode())
     return h.hexdigest()
 

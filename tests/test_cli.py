@@ -241,6 +241,34 @@ class TestTrain:
         assert cli.main(["train", "-c", str(cfg)]) == 0
         assert sorted(seeds_built) == [0, 1]
 
+    def test_csv_suite_is_read_once_per_command(self, tmp_path, monkeypatch):
+        # A CSV suite does not depend on the seed: 3 seeds share one read.
+        merged, _ = write_suite_csv(tmp_path)
+        cfg, _ = write_config(tmp_path, suite={"csv": str(merged)}, seeds=[0, 1, 2],
+                              train={"steps": 10, "eval_every": 5})
+        real, reads = cli.load_csv_suite, []
+        monkeypatch.setattr(cli, "load_csv_suite", lambda path: reads.append(path) or real(path))
+        for command in ("train", "compare"):
+            reads.clear()
+            assert cli.main([command, "-c", str(cfg)]) == 0
+            assert reads == [str(merged)], command
+        reads.clear()
+        assert cli.main(["analyze", str(tmp_path / "out")]) == 0
+        assert reads == [str(merged)]
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_two_domain_csv_suite_exit_code(self, tmp_path, capsys, command):
+        # Leaving one of 2 domains out leaves 1 source: exit 1 with nothing written.
+        merged, _ = write_suite_csv(tmp_path)
+        two = tmp_path / "two.csv"
+        two.write_text("".join(line for line in merged.read_text().splitlines(keepends=True)
+                               if line.split(",")[-2] != "2"))
+        cfg, _ = write_config(tmp_path, suite={"csv": str(two)}, alpha_grid=[0.0, 1.0])
+        capsys.readouterr()
+        assert cli.main([command, "-c", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: config.suite has 2 domains")
+        assert not (tmp_path / "out").exists()
+
     def test_workers_build_no_suite(self, tmp_path, monkeypatch):
         # Each group carries its sources and held-out domain to the worker that runs it.
         builds = tmp_path / "builds"
@@ -615,12 +643,41 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", ["gen", "train", "compare", "sweep"])
     def test_sections_are_checked_once_per_command(self, tmp_path, monkeypatch, command):
         cfg, _ = write_config(tmp_path, alpha_grid=[0.0], train={"steps": 4})
-        calls, check_sections = [], cli._check_sections
-        monkeypatch.setattr(cli, "_check_sections",
-                            lambda config: calls.append(1) or check_sections(config))
+        calls, validate_config = [], cli.validate_config
+        monkeypatch.setattr(cli, "validate_config",
+                            lambda config: calls.append(1) or validate_config(config))
         # compare finds no finished runs and exits 1 after reading the config.
         assert cli.main([command, "-c", str(cfg)]) == (1 if command == "compare" else 0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("override, key", [
+        ({"sedes": [1]}, "unknown config key 'sedes'"),
+        ({"train": 5}, "config.train must be an object"),
+        ({"suite": []}, "config.suite must be an object"),
+        ({"methods": {"kind": "erm"}}, "config.methods must be"),
+        ({"methods": ["erm"]}, "config.methods[0] must be an object"),
+        ({"output": ""}, "config.output must be"),
+    ])
+    def test_library_config_gets_the_cli_errors(self, override, key):
+        # A dict built in code, as perfbench's pooled workload builds one, is checked
+        # as a config file is.
+        config = {"suite": {"seed": 0}, "train": {"steps": 4}, "methods": [{"kind": "erm"}],
+                  "seeds": [0], "held_out": "all", **override}
+        with pytest.raises(cli.CliError) as err:
+            cli.validate_config(config)
+        assert key in str(err.value)
+
+    def test_library_config_is_completed(self):
+        config = {"suite": {"seed": 0}, "methods": "all", "held_out": "last"}
+        cli.validate_config(config)
+        assert config["methods"] == cli.ALL_METHODS_PRESET
+        assert config["methods"] is not cli.ALL_METHODS_PRESET
+        for key in ("train", "seeds", "output", "alpha_grid"):
+            assert config[key] == cli.CONFIG_DEFAULTS[key]
+        for key in ("train", "seeds", "alpha_grid"):     # copies: a caller's edit stays its own
+            assert config[key] is not cli.CONFIG_DEFAULTS[key]
+        assert list(config) == ["suite", "methods", "held_out", "train", "seeds", "output",
+                                "alpha_grid"]
 
     def test_all_methods_preset_is_every_kind_but_lfme_guid(self):
         # lfme_guid trains an lfme teacher first, so "all" leaves it out.

@@ -320,14 +320,13 @@ def train_jobs(config: dict, runs: list[tuple[str, list]], jobs: int) -> list[in
 
     ``config`` must have passed ``validate_config``; a run is an ``(output, methods)``
     pair, trained and written as ``dict(config, output=output, methods=methods)``. Each
-    seed's suite is built once, here (a CSV suite, which no seed changes, once for all),
-    and each group's sources are checked, two or more and each holding a batch, before
-    anything is written. A group, one ``map_jobs`` payload, is ``(seed, sources, held-out
-    dataset, [(run config, method)])``: the jobs that share one expert trajectory (README
-    "Expert memo"). Groups run in (seed, held-out id) order.
+    seed's suite is built once, here, and each group's sources are checked, two or more
+    and each holding a batch, before anything is written. A group, one ``map_jobs``
+    payload, is ``(seed, sources, held-out dataset, [(run config, method)])``: the jobs
+    that share one expert trajectory (README "Expert memo"). Groups run in (seed, held-out
+    id) order.
     """
-    shared = build_suite(config) if "csv" in config["suite"] else None
-    suites = {seed: shared or build_suite(config, seed=seed) for seed in config["seeds"]}
+    suites = {seed: build_suite(config, seed=seed) for seed in config["seeds"]}
     helds = held_out_ids(config, suites[config["seeds"][0]])
     batch = build_train_config(config, config["seeds"][0]).batch_per_domain
     plan = [dict(config, output=output, methods=methods) for output, methods in runs]
@@ -454,10 +453,9 @@ def cmd_analyze(args) -> int:
         ckpt = rdir / "target.ckpt"
         if ckpt.exists() and config is not None:
             model = mm.load_checkpoint(ckpt).to_model()
-            seed = None if "csv" in config["suite"] else info["seed"]    # one CSV suite, all seeds
-            if seed not in suites:
-                suites[seed] = build_suite(config, seed=seed)
-            suite = suites[seed]
+            if info["seed"] not in suites:
+                suites[info["seed"]] = build_suite(config, seed=info["seed"])
+            suite = suites[info["seed"]]
             sources = [ds for ds in suite if ds.domain_id != info["held_out"]]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
             z = mm.forward_array(model, x)

@@ -123,28 +123,6 @@ class TestTrain:
         # per eval: loss + 2 train + 2 val + mean + entropy + logit_sum; plus 2 final rows
         assert len(rows) == n_evals * 8 + 2
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        # Both sides train on one BLAS thread: these runs are below train.SERIAL_BLAS_MADDS.
-        # test_train.TestBlasThreads compares 1 against 2 threads.
-        methods = [{"kind": "erm"}, {"kind": "lfme"}]
-        cfg, _ = write_config(tmp_path, seeds=[0, 1], methods=methods)
-        assert cli.main(["train", "-c", str(cfg)]) == 0
-        cfg2, _ = write_config(tmp_path, seeds=[0, 1], methods=methods,
-                               output=str(tmp_path / "out2"))
-        assert cli.main(["train", "-c", str(cfg2), "--jobs", "2"]) == 0
-
-        def run_files(root):
-            return {p.relative_to(root): p.read_bytes()
-                    for p in sorted(root.glob("*/seed*/heldout*/*"))}
-        serial, par = run_files(tmp_path / "out"), run_files(tmp_path / "out2")
-        names = {p.name for p in serial}
-        assert {"metrics.csv", "experts.csv", "rescale.csv", "target.ckpt",
-                "expert0.ckpt", "expert1.ckpt", "run.json"} <= names
-        assert len(serial) == 2 * (3 + 7)     # 2 seeds x (erm 3 files + lfme 7 files)
-        assert serial.keys() == par.keys()
-        for rel in serial:
-            assert serial[rel] == par[rel], rel
-
     def test_jobs_that_share_experts_run_together_and_train_them_once(self, tmp_path, capsys,
                                                                       monkeypatch):
         # Jobs run by (seed, held-out id); within one, lfme trains the experts and agg_avg
@@ -241,21 +219,6 @@ class TestTrain:
         assert cli.main(["train", "-c", str(cfg)]) == 0
         assert sorted(seeds_built) == [0, 1]
 
-    def test_csv_suite_is_read_once_per_command(self, tmp_path, monkeypatch):
-        # A CSV suite does not depend on the seed: 3 seeds share one read.
-        merged, _ = write_suite_csv(tmp_path)
-        cfg, _ = write_config(tmp_path, suite={"csv": str(merged)}, seeds=[0, 1, 2],
-                              train={"steps": 10, "eval_every": 5})
-        real, reads = cli.load_csv_suite, []
-        monkeypatch.setattr(cli, "load_csv_suite", lambda path: reads.append(path) or real(path))
-        for command in ("train", "compare"):
-            reads.clear()
-            assert cli.main([command, "-c", str(cfg)]) == 0
-            assert reads == [str(merged)], command
-        reads.clear()
-        assert cli.main(["analyze", str(tmp_path / "out")]) == 0
-        assert reads == [str(merged)]
-
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_two_domain_csv_suite_exit_code(self, tmp_path, capsys, command):
         # Leaving one of 2 domains out leaves 1 source: exit 1 with nothing written.
@@ -308,25 +271,6 @@ class TestTrain:
             else:
                 assert code == 0, key
                 assert (out / metrics).read_bytes() != (base / metrics).read_bytes(), key
-
-    def test_parallel_jobs_match_serial_for_guided_kinds(self, tmp_path):
-        # The kinds that test_parallel_jobs_match_serial leaves out: lfme_guid's teacher,
-        # agg_dyn's weighting net and kd_ce's ramp, one (seed, held-out) group per worker.
-        methods = [{"kind": k} for k in ("lfme", "lfme_guid", "agg_dyn", "kd_ce")]
-        trees = {}
-        for jobs in ("2", "1"):
-            tr._expert_memo.clear()
-            out = tmp_path / f"out{jobs}"
-            cfg, _ = write_config(tmp_path, seeds=[1, 0], methods=methods, output=str(out),
-                                  train={"steps": 30, "eval_every": 15,
-                                         "batch_per_domain": 16})
-            assert cli.main(["train", "-c", str(cfg), "--jobs", jobs]) == 0
-            config = json.loads((out / "config.json").read_text())
-            assert config.pop("output") == str(out)
-            trees[jobs] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
-                           if p.is_file() and p.name != "config.json"}, config
-        assert len(trees["1"][0]) == 2 * (7 + 3 + 5 + 6)     # lfme, lfme_guid, agg_dyn, kd_ce
-        assert trees["2"] == trees["1"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "x", "1.5"])
     def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):

@@ -24,8 +24,8 @@ import numpy as np
 from . import models as mm
 from .analysis import report_from_run
 from .domains import CSV_COLUMNS, DataError, SuiteSpec, generate_suite, load_csv_suite
-from .train import (LFME, ConfigError, MethodSpec, TrainConfig, blas_thread_calls, run_method,
-                    softmax_np)
+from .train import (LFME, ConfigError, MethodSpec, TrainConfig, blas_thread_calls, check_sources,
+                    run_method, softmax_np)
 
 DEFAULT_ALPHA_GRID = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0]
 
@@ -86,8 +86,8 @@ def validate_config(config: dict):
     """Make ``config`` a valid config in place, or raise a ``CliError`` naming the bad key.
 
     Fills each missing top-level key from ``CONFIG_DEFAULTS`` and expands ``methods:
-    "all"``. Each method and each seed's train config is built, so a malformed value
-    fails with the error of the spec that owns it. The suite values are checked where
+    "all"``. Each method and the train config are built, so a malformed value fails with
+    the error of the spec that owns it (a seed in ``seeds`` passes wherever another does). The suite values are checked where
     the suite is built (``build_suite``).
     """
     for key, default in CONFIG_DEFAULTS.items():
@@ -125,8 +125,7 @@ def validate_config(config: dict):
             raise CliError(f"config.methods[{i}]: method kind {kind!r} is listed twice; "
                            "its runs would share one directory")
         kinds.add(kind)
-    for seed in seeds:
-        build_train_config(config, seed)
+    build_train_config(config, seeds[0])
     alpha_grid(config)
 
 
@@ -153,24 +152,18 @@ def build_suite(config: dict, seed: int | None = None):
 
 def build_method(cfg: dict) -> MethodSpec:
     try:
-        method = MethodSpec(**cfg)
-        method.validate()
+        return MethodSpec(**cfg)
     except (TypeError, ConfigError) as e:
         raise CliError(f"config.methods: {e}") from None
-    return method
 
 
 def build_train_config(config: dict, seed: int) -> TrainConfig:
-    kwargs = dict(config["train"])
-    if "seed" in kwargs:
+    if "seed" in config["train"]:
         raise CliError("config.train.seed is not read: each run's seed comes from config.seeds")
-    kwargs["seed"] = seed
     try:
-        tc = TrainConfig(**kwargs)
-        tc.validate()
+        return TrainConfig(**config["train"], seed=seed)
     except (TypeError, ConfigError) as e:
         raise CliError(f"config.train: {e}") from None
-    return tc
 
 
 def held_out_ids(config: dict, suite) -> list[int]:
@@ -203,14 +196,13 @@ def run_dir(output: Path, method_name: str, seed: int, held_out: int) -> Path:
     return output / method_name / f"seed{seed}" / f"heldout{held_out}"
 
 
-def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> Path:
-    train_cfg = build_train_config(config, seed)
-    method = build_method(method_cfg)
-    held = held_ds.domain_id
+def execute_job(output, method: MethodSpec, train_cfg: TrainConfig, sources, held_ds) -> Path:
+    """Train ``method`` on ``sources`` and write its run directory under ``output``."""
+    seed, held = train_cfg.seed, held_ds.domain_id
     run = run_method(sources, method, train_cfg, held_out=held_ds)
     report = report_from_run(run)
 
-    out = run_dir(Path(config["output"]), method.name, seed, held)
+    out = run_dir(Path(output), method.name, seed, held)
     base = (method.name, seed, held)
 
     rows = []
@@ -251,6 +243,9 @@ def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> 
         for i, e in enumerate(run.selected_expert_models()):
             mm.save_checkpoint(e, out / f"expert{i}.ckpt", role="expert", index=i,
                                step=run.selected_step, seed=seed)
+    if sel.weighting_params is not None:
+        mm.save_checkpoint(mm.model_from_arrays(sel.weighting_params), out / "weighting.ckpt",
+                           role="weighting", step=run.selected_step, seed=seed)
     # Written last, atomically: a run directory holding run.json is complete.
     info = {"method": asdict(method), "seed": seed, "held_out": held,
             "sources": run.source_ids, "selected_step": run.selected_step,
@@ -261,8 +256,9 @@ def execute_job(config: dict, method_cfg: dict, seed: int, sources, held_ds) -> 
 
 def _run_group(group) -> list[str]:
     """Run a ``train_jobs`` group's jobs in order; return their run directories."""
-    seed, sources, held_ds, jobs = group
-    return [str(execute_job(config, m, seed, sources, held_ds)) for config, m in jobs]
+    train_cfg, sources, held_ds, jobs = group
+    return [str(execute_job(output, method, train_cfg, sources, held_ds))
+            for output, method in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +316,26 @@ def train_jobs(config: dict, runs: list[tuple[str, list]], jobs: int) -> list[in
 
     ``config`` must have passed ``validate_config``; a run is an ``(output, methods)``
     pair, trained and written as ``dict(config, output=output, methods=methods)``. Each
-    seed's suite is built once, here, and each group's sources are checked, two or more
-    and each holding a batch, before anything is written. A group, one ``map_jobs``
-    payload, is ``(seed, sources, held-out dataset, [(run config, method)])``: the jobs
-    that share one expert trajectory (README "Expert memo"). Groups run in (seed, held-out
-    id) order.
+    seed's suite and train config and each run's methods are built once, here, and each
+    group's sources pass ``check_sources``, before anything is written. A group, one
+    ``map_jobs`` payload, is ``(train config, sources, held-out dataset, [(output,
+    method)])``: the jobs that share one expert trajectory (README "Expert memo"). Groups
+    run in (seed, held-out id) order.
     """
     suites = {seed: build_suite(config, seed=seed) for seed in config["seeds"]}
+    train_cfgs = {seed: build_train_config(config, seed) for seed in suites}
     helds = held_out_ids(config, suites[config["seeds"][0]])
-    batch = build_train_config(config, config["seeds"][0]).batch_per_domain
     plan = [dict(config, output=output, methods=methods) for output, methods in runs]
+    group_jobs = [(output, build_method(m)) for output, methods in runs for m in methods]
     groups = []
     for seed, h in itertools.product(sorted(suites), sorted(helds)):
         sources = [ds for ds in suites[seed] if ds.domain_id != h]
-        if len(sources) < 2:
-            raise CliError(f"config.suite has {len(suites[seed])} domains; a run needs at "
-                           "least 2 source domains beside the held-out one")
-        for ds in sources:
-            if batch > len(ds.train_idx):
-                raise CliError(f"config.train.batch_per_domain {batch} exceeds the "
-                               f"{len(ds.train_idx)} train rows of source {ds.name}")
-        groups.append((seed, sources, next(ds for ds in suites[seed] if ds.domain_id == h),
-                       [(run, m) for run in plan for m in run["methods"]]))
+        try:
+            check_sources(sources, train_cfgs[seed].batch_per_domain)
+        except ConfigError as e:
+            raise CliError(f"config.{e}") from None
+        groups.append((train_cfgs[seed], sources,
+                       next(ds for ds in suites[seed] if ds.domain_id == h), group_jobs))
     for run in plan:
         mm.atomic_write(Path(run["output"]) / "config.json",
                         lambda f: json.dump(run, f, indent=2))
@@ -426,19 +420,19 @@ def cmd_analyze(args) -> int:
         raise CliError(f"no completed runs found in {root}")
     config_path = root / "config.json"
     config = json.loads(config_path.read_text()) if config_path.exists() else None
+    runs = [(p.parent, json.loads(p.read_text())) for p in run_jsons]
+    # Built before anything is written, so a suite that cannot be built leaves no analysis/.
+    seeds = sorted({info["seed"] for rdir, info in runs if (rdir / "target.ckpt").exists()})
+    suites = {seed: build_suite(config, seed=seed) for seed in seeds} if config else {}
     analysis_dir = root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
-    entropy_rows, suites = [], {}
-    for run_json in run_jsons:
-        rdir = run_json.parent
-        with open(run_json) as f:
-            info = json.load(f)
+    entropy_rows = []
+    for rdir, info in runs:
         name = f"{info['method']['kind']}_seed{info['seed']}_heldout{info['held_out']}"
 
         with open(rdir / "metrics.csv", newline="") as f:
-            metric_rows = list(csv.DictReader(f))
-        ent = [float(r["value"]) for r in metric_rows if r["metric"] == "val_entropy"]
+            ent = [float(r["value"]) for r in csv.DictReader(f) if r["metric"] == "val_entropy"]
         if ent:
             entropy_rows.append([info["method"]["kind"], info["seed"], info["held_out"],
                                  repr(ent[-1])])
@@ -452,13 +446,9 @@ def cmd_analyze(args) -> int:
 
         ckpt = rdir / "target.ckpt"
         if ckpt.exists() and config is not None:
-            model = mm.load_checkpoint(ckpt).to_model()
-            if info["seed"] not in suites:
-                suites[info["seed"]] = build_suite(config, seed=info["seed"])
-            suite = suites[info["seed"]]
-            sources = [ds for ds in suite if ds.domain_id != info["held_out"]]
+            sources = [ds for ds in suites[info["seed"]] if ds.domain_id != info["held_out"]]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
-            z = mm.forward_array(model, x)
+            z = mm.forward_array(mm.load_checkpoint(ckpt).to_model(), x)
             q = softmax_np(z)
             for tag, values in (("logits", z.ravel()), ("probs", q.ravel())):
                 counts, edges = np.histogram(values, bins=50)

@@ -51,6 +51,9 @@ class SuiteSpec:
     noise: float = 0.75
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         require_finite(self, ("n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
                               "seed"), numbers.Integral)
@@ -128,7 +131,6 @@ def _rotations(spec: SuiteSpec) -> list[np.ndarray]:
 
 def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
     """M source domains plus one domain with a fresh spurious rotation."""
-    spec.validate()
     means = _class_means(spec.n_classes, spec.d_inv)
     rotations = _rotations(spec)
 
@@ -266,16 +268,10 @@ def make_batches(sources: list[DomainDataset], batch_per_domain: int, seed: int,
     """Aligned per-domain minibatches for one step, stacked, plus their concatenation.
 
     Deterministic in (seed, step). Each domain walks a per-epoch shuffle of
-    its train split; exhaustion wraps into the next epoch's shuffle.
+    its train split; exhaustion wraps into the next epoch's shuffle. The caller
+    checks the batch fits each train split (``train.check_sources``).
     """
-    b = int(batch_per_domain)
-    if b <= 0:
-        raise DataError("batch_per_domain must be positive")
-    for ds in sources:
-        if b > len(ds.train_idx):
-            raise DataError(
-                f"batch_per_domain {b} exceeds train size {len(ds.train_idx)} of {ds.name}")
-    m, d = len(sources), sources[0].features.shape[1]
+    b, m, d = batch_per_domain, len(sources), sources[0].features.shape[1]
     xs = np.empty((m, b, d))
     ys = np.empty((m, b), dtype=sources[0].labels.dtype)
     for i, ds in enumerate(sources):

@@ -102,6 +102,9 @@ class MethodSpec:
     ramp_steps: int | None = None       # KD_CE ramp length; default steps // 2
     hard_weight_beta: float = 1.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if not isinstance(self.kind, str) or self.kind not in METHODS:
             raise ConfigError(f"unknown method kind {self.kind!r}")
@@ -133,6 +136,7 @@ class TrainConfig:
     def __post_init__(self):    # a JSON config's list: runs and the expert key read a tuple
         if isinstance(self.hidden_dims, list):
             object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        self.validate()
 
     def validate(self):
         if self.optimizer not in ("adam", "sgd"):
@@ -633,6 +637,17 @@ def _trained_steps(sources, config, stacked, opt, record, key):
 # The training loop
 
 
+def check_sources(sources: list[DomainDataset], batch_per_domain: int):
+    """Raise a ``ConfigError`` unless there are 2 or more sources and each one's train split
+    holds a batch. Each message names its config key, for the CLI to print under ``config.``."""
+    if len(sources) < 2:
+        raise ConfigError(f"suite: a run needs at least 2 source domains, got {len(sources)}")
+    for ds in sources:
+        if batch_per_domain > len(ds.train_idx):
+            raise ConfigError(f"train.batch_per_domain {batch_per_domain} exceeds the "
+                              f"{len(ds.train_idx)} train rows of source {ds.name}")
+
+
 def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainConfig,
               held_out: DomainDataset | None = None,
               teacher: mm.MlpModel | None = None) -> RunResult:
@@ -648,10 +663,7 @@ def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainCon
     included, on one BLAS thread; a larger one keeps the caller's count. The
     thread count does not change any result.
     """
-    method.validate()
-    config.validate()
-    if len(sources) < 2:
-        raise ConfigError("need at least 2 source domains")
+    check_sources(sources, config.batch_per_domain)
     dims = [sources[0].features.shape[1], *config.hidden_dims, sources[0].n_classes]
     serial = step_matmul_madds(len(sources), config, dims) < SERIAL_BLAS_MADDS
     with blas_threads(1) if serial else contextlib.nullcontext():

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,13 @@ def write_config(tmp_path, **overrides):
     return p, config
 
 
-def held_out_split(config):
-    """The sources and held-out domain 2 of seed 0's suite, as a ``train_jobs`` group
-    hands them to ``cli.execute_job``."""
+def execute_job(config, kind):
+    """``cli.execute_job`` of one ``kind`` job on seed 0 with held-out domain 2, built as a
+    ``train_jobs`` group builds it."""
     suite = cli.build_suite(config, seed=0)
-    return [ds for ds in suite if ds.domain_id != 2], suite[2]
+    return cli.execute_job(config["output"], tr.MethodSpec(kind),
+                           cli.build_train_config(config, 0),
+                           [ds for ds in suite if ds.domain_id != 2], suite[2])
 
 
 def write_suite_csv(tmp_path):
@@ -229,7 +232,8 @@ class TestTrain:
         cfg, _ = write_config(tmp_path, suite={"csv": str(two)}, alpha_grid=[0.0, 1.0])
         capsys.readouterr()
         assert cli.main([command, "-c", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith("error: config.suite has 2 domains")
+        assert capsys.readouterr().err.startswith(
+            "error: config.suite: a run needs at least 2 source domains, got 1")
         assert not (tmp_path / "out").exists()
 
     def test_workers_build_no_suite(self, tmp_path, monkeypatch):
@@ -354,13 +358,12 @@ class TestTrain:
         _, config = write_config(tmp_path)
         fail_run_json_write(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
-            cli.execute_job(config, {"kind": "erm"}, 0, *held_out_split(config))
+            execute_job(config, "erm")
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
 
     def test_failed_checkpoint_write_leaves_no_checkpoint(self, tmp_path, monkeypatch):
         _, config = write_config(tmp_path)
-        split = held_out_split(config)
         contiguous = np.ascontiguousarray
         calls = []
 
@@ -373,9 +376,41 @@ class TestTrain:
 
         monkeypatch.setattr(np, "ascontiguousarray", convert_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            cli.execute_job(config, {"kind": "erm"}, 0, *split)
+            execute_job(config, "erm")
         rdir = tmp_path / "out" / "erm" / "seed0" / "heldout2"
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv"]
+
+    def test_agg_dyn_run_directory_holds_its_predictor(self, tmp_path):
+        # The expert checkpoints and weighting.ckpt rebuild the selected predictor: it
+        # scores the held-out domain as run.json records.
+        cfg, config = write_config(tmp_path, methods=[{"kind": "agg_dyn"}])
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        rdir = tmp_path / "out" / "agg_dyn" / "seed0" / "heldout2"
+        info = json.loads((rdir / "run.json").read_text())
+        weighting = mm.load_checkpoint(rdir / "weighting.ckpt")
+        assert (weighting.role, weighting.step) == ("weighting", info["selected_step"])
+        experts = [mm.load_checkpoint(rdir / f"expert{i}.ckpt").to_model() for i in range(2)]
+        held = cli.build_suite(config, seed=0)[2]
+        probs = tr.aggregate_predict(tr.AGG_DYN, experts, weighting.to_model(), held.features)
+        assert float(np.mean(probs.argmax(axis=1) == held.labels)) == info["ood_accuracy"]
+
+    def test_specs_are_built_once_per_seed_and_method(self, tmp_path, monkeypatch):
+        # 1 seed x 4 held-out domains x 3 methods is 12 jobs. The config check builds the
+        # train config and each method once, and the plan builds each seed's train config
+        # and each method once more; no job builds one.
+        counts = Counter()
+
+        def counted(name):
+            real = getattr(cli, name)
+            return lambda *args: counts.update([name]) or real(*args)
+
+        for name in ("build_train_config", "build_method"):
+            monkeypatch.setattr(cli, name, counted(name))
+        cfg, _ = write_config(tmp_path, held_out="all", train={"steps": 4, "eval_every": 2},
+                              methods=[{"kind": "erm"}, {"kind": "lfme"}, {"kind": "lfme_guid"}])
+        assert cli.main(["train", "-c", str(cfg), "--set", "suite.n_domains=3"]) == 0
+        assert len(list((tmp_path / "out").glob("*/seed0/heldout*/run.json"))) == 12
+        assert counts == {"build_train_config": 2, "build_method": 6}
 
     def test_checkpoint_round_trip_on_probe(self, tmp_path):
         cfg, config = write_config(tmp_path)
@@ -418,7 +453,7 @@ class TestCompare:
         with monkeypatch.context() as patch:
             fail_run_json_write(patch)
             with pytest.raises(OSError, match="disk full"):
-                cli.execute_job(config, {"kind": "ls"}, 0, *held_out_split(config))
+                execute_job(config, "ls")
         rdir = cli.run_dir(tmp_path / "out", "ls", 0, 2)
         assert sorted(p.name for p in rdir.iterdir()) == ["metrics.csv", "target.ckpt"]
         capsys.readouterr()
@@ -464,6 +499,20 @@ class TestAnalyze:
             with open(adir / f"erm_seed0_heldout2_hist_{tag}.csv", newline="") as f:
                 total = sum(int(r["count"]) for r in csv.DictReader(f))
             assert total == sum(len(ds.val_idx) for ds in suite[:2]) * 3
+
+    def test_unbuildable_suite_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # A relative suite.csv resolves against the working directory, so analyze run
+        # from elsewhere cannot build the suite: exit 1 before analysis/ is made.
+        merged, _ = write_suite_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        cfg, _ = write_config(tmp_path, suite={"csv": merged.name}, output="tree")
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        capsys.readouterr()
+        assert cli.main(["analyze", "../tree"]) == 1
+        assert capsys.readouterr().err.startswith("error: config.suite.csv: [Errno 2]")
+        assert not (tmp_path / "tree" / "analysis").exists()
 
     @pytest.mark.parametrize("tree", ["empty", "sweep"])
     def test_no_completed_runs_exit_code(self, tmp_path, capsys, tree):

@@ -13,7 +13,9 @@ of a class, or ``super().__init__`` in a subclass, is a call of its ``__init__``
 A parameter no src call sets is a constant in disguise; one that only callers
 outside src set goes on ``ALLOWED_UNSET`` with its reason.
 
-src reads no environment variable either.
+src reads no environment variable either, and checks a spec once: a ``validate()``
+call sits only in a ``__post_init__``, so a spec that exists is valid and no caller
+checks it again.
 """
 
 import ast
@@ -150,6 +152,32 @@ def test_guard_flags_an_unset_parameter(tmp_path):
         "box = Kid(c=1)\n")
     assert sorted(unset_parameters(tmp_path)) == [
         "a.f.only", "a.f.spare", "a.g.x", "a.g.y", "b.Base.__init__.b", "b.Kid.m.e"]
+
+
+def validate_calls(package: Path) -> list[str]:
+    """``file:line`` of each call of a ``validate`` method outside a ``__post_init__``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, FUNCTIONS) and fn.name == "__post_init__"
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "validate" and id(node) not in allowed]
+    return found
+
+
+def test_specs_are_validated_only_when_built():
+    assert validate_calls(PACKAGE) == []
+
+
+def test_guard_flags_a_validate_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Spec:\n    def __post_init__(self):\n        self.validate()\n\n"
+        "    def validate(self):\n        return None\n\n\n"
+        "def run(spec):\n    spec.validate()\n")
+    assert validate_calls(tmp_path) == ["a.py:10"]
 
 
 def test_src_reads_no_environment_variable():

@@ -639,6 +639,32 @@ class TestTrainLoop:
         assert run.selected.target_params is None
         assert run.selected.weighting_params is not None
 
+    @pytest.mark.parametrize("spec, bad", [
+        (tr.MethodSpec, {"kind": "nonsense"}), (tr.MethodSpec, {"kind": "ls", "ls_epsilon": 1.0}),
+        (tr.MethodSpec, {"kind": "lfme", "alpha_half": -1.0}),
+        (tr.TrainConfig, {"optimizer": "rmsprop"}), (tr.TrainConfig, {"steps": 0}),
+        (tr.TrainConfig, {"hidden_dims": [4, 0]}), (tr.TrainConfig, {"lr": float("nan")}),
+    ], ids=["kind", "ls_epsilon", "alpha_half", "optimizer", "steps", "hidden_dims", "lr"])
+    def test_invalid_spec_raises_when_built(self, spec, bad):
+        with pytest.raises(tr.ConfigError):
+            spec(**bad)
+
+    @pytest.mark.parametrize("n_sources, batch, match", [
+        (1, 16, "at least 2 source domains, got 1"),
+        (3, 10_000, r"batch_per_domain 10000 exceeds the \d+ train rows of source domain0"),
+    ], ids=["one-source", "oversized-batch"])
+    def test_sources_are_checked_before_the_run_starts(self, monkeypatch, n_sources, batch,
+                                                       match):
+        def fail(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(tr, "make_batches", fail)
+        monkeypatch.setattr(mm, "init_mlp", fail)
+        suite = small_suite()
+        with pytest.raises(tr.ConfigError, match=match):
+            tr.train_run(suite[:n_sources], tr.MethodSpec(tr.LFME),
+                         quick_config(batch_per_domain=batch))
+
     def test_lfme_guid_needs_teacher(self):
         suite = small_suite()
         with pytest.raises(tr.ConfigError, match="teacher"):

@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,17 +77,32 @@ def load_config(args) -> dict:
 
     if args.output is not None:
         config["output"] = args.output
-    validate_config(config)
-    return config
+    return validate_config(config)
 
 
-def validate_config(config: dict):
-    """Make ``config`` a valid config in place, or raise a ``CliError`` naming the bad key.
+@dataclass(frozen=True)
+class Plan:
+    """A checked config and what it builds, once per command (``validate_config``)."""
+    config: dict                        # completed: every top-level key, methods expanded
+    methods: list[MethodSpec]           # one per config.methods entry
+    train: dict[int, TrainConfig]       # one per seed
+    held_out: list[int]
+    alphas: list[float]                 # config.alpha_grid as floats
+    csv_suite: list | None              # read once: a CSV suite does not depend on the seed
+
+    def suite(self, seed: int | None) -> list:
+        """The suite of ``seed`` (None: ``config.suite.seed``); a synthetic one is generated."""
+        return self.csv_suite or build_suite(self.config, seed)
+
+
+def validate_config(config: dict) -> Plan:
+    """Make ``config`` a valid config in place and return its plan, or raise a ``CliError``
+    naming the bad key.
 
     Fills each missing top-level key from ``CONFIG_DEFAULTS`` and expands ``methods:
-    "all"``. Each method and the train config are built, so a malformed value fails with
-    the error of the spec that owns it (a seed in ``seeds`` passes wherever another does). The suite values are checked where
-    the suite is built (``build_suite``).
+    "all"``. Each method, each seed's train config and the suite spec are built, so a
+    malformed value fails with the error of the spec that owns it; a CSV suite is read.
+    The held-out ids resolve over the suite's domains, which every suite numbers from 0.
     """
     for key, default in CONFIG_DEFAULTS.items():
         config.setdefault(key, copy.deepcopy(default))
@@ -108,28 +122,28 @@ def validate_config(config: dict):
             raise CliError(f"config.methods[{i}] must be an object, got {m!r}")
     if not isinstance(config["output"], str) or not config["output"]:
         raise CliError(f"config.output must be a nonempty path string, got {config['output']!r}")
-    seeds, held_out = config["seeds"], config["held_out"]
+    seeds = config["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(
             type(s) is int and 0 <= s < 2 ** 64 for s in seeds) or len(set(seeds)) != len(seeds):
         raise CliError("config.seeds must be a nonempty list of distinct integers in "
                        f"[0, 2**64), got {seeds!r}")
-    if held_out not in ("all", "last") and not (
-            isinstance(held_out, list) and held_out and all(type(h) is int for h in held_out)
-            and len(set(held_out)) == len(held_out)):
-        raise CliError('config.held_out must be "all", "last" or a nonempty list of distinct '
-                       f"domain ids, got {held_out!r}")
-    kinds = set()
-    for i, m in enumerate(config["methods"]):
-        kind = build_method(m).kind
-        if kind in kinds:
-            raise CliError(f"config.methods[{i}]: method kind {kind!r} is listed twice; "
+    methods = [build_method(m) for m in methods]
+    for i, m in enumerate(methods):
+        if m.kind in [n.kind for n in methods[:i]]:
+            raise CliError(f"config.methods[{i}]: method kind {m.kind!r} is listed twice; "
                            "its runs would share one directory")
-        kinds.add(kind)
-    build_train_config(config, seeds[0])
-    alpha_grid(config)
+    csv_suite = build_suite(config) if "csv" in config["suite"] else None
+    try:
+        domains = csv_suite or SuiteSpec(**config["suite"]).domain_ids
+    except (TypeError, DataError) as e:
+        raise CliError(f"config.suite: {e}") from None
+    return Plan(config, methods, {s: build_train_config(config, s) for s in seeds},
+                held_out_ids(config, domains), alpha_grid(config), csv_suite)
 
 
-def build_suite(config: dict, seed: int | None = None):
+def build_suite(config: dict, seed: int | None = None) -> list:
+    """The domains of ``config.suite``: the CSV suite, read, or the synthetic suite,
+    generated with ``seed`` in place of ``config.suite.seed`` unless it is None."""
     suite_cfg = dict(config["suite"])
     if "csv" in suite_cfg:
         path = suite_cfg.pop("csv")
@@ -141,13 +155,7 @@ def build_suite(config: dict, seed: int | None = None):
             return load_csv_suite(path)
         except OSError as e:
             raise CliError(f"config.suite.csv: {e}") from None
-    if seed is not None:
-        suite_cfg["seed"] = seed
-    try:
-        spec = SuiteSpec(**suite_cfg)
-    except TypeError as e:
-        raise CliError(f"config.suite: {e}") from None
-    return generate_suite(spec)
+    return generate_suite(SuiteSpec(**suite_cfg if seed is None else dict(suite_cfg, seed=seed)))
 
 
 def build_method(cfg: dict) -> MethodSpec:
@@ -166,18 +174,15 @@ def build_train_config(config: dict, seed: int) -> TrainConfig:
         raise CliError(f"config.train: {e}") from None
 
 
-def held_out_ids(config: dict, suite) -> list[int]:
-    ho = config["held_out"]
-    if ho == "all":
-        return [ds.domain_id for ds in suite]
-    if ho == "last":
-        return [suite[-1].domain_id]
-    ids = [int(h) for h in ho]
-    known = {ds.domain_id for ds in suite}
-    bad = [h for h in ids if h not in known]
-    if bad:
-        raise CliError(f"config.held_out: unknown domain ids {bad}")
-    return ids
+def held_out_ids(config: dict, domains) -> list[int]:
+    """``config.held_out`` resolved over ``domains``, a suite or its ids ``0..n-1``."""
+    ho, n = config["held_out"], len(domains)
+    ids = list(range(n)) if ho == "all" else [n - 1] if ho == "last" else ho
+    if not isinstance(ids, list) or not ids or not all(
+            type(h) is int and 0 <= h < n for h in ids) or len(set(ids)) != len(ids):
+        raise CliError('config.held_out must be "all", "last" or a nonempty list of distinct '
+                       f"domain ids in [0, {n}), got {ho!r}")
+    return list(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,9 @@ def map_jobs(fn, payloads, jobs: int):
 
 
 def cmd_gen(args) -> int:
-    config = load_config(args)
-    suite = build_suite(config)
-    out = Path(config["output"])
+    plan = load_config(args)
+    suite = plan.suite(None)
+    out = Path(plan.config["output"])
     out.mkdir(parents=True, exist_ok=True)
     d = suite[0].features.shape[1]
     header = [f"f{i}" for i in range(d)] + list(CSV_COLUMNS)
@@ -311,93 +316,72 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def train_jobs(config: dict, runs: list[tuple[str, list]], jobs: int) -> list[int]:
-    """Train every method x seed x held-out job of each run; return the held-out ids.
+def train_jobs(plan: Plan, runs: list[tuple[dict, list[MethodSpec]]], jobs: int):
+    """Train every method x seed x held-out job of each run.
 
-    ``config`` must have passed ``validate_config``; a run is an ``(output, methods)``
-    pair, trained and written as ``dict(config, output=output, methods=methods)``. Each
-    seed's suite and train config and each run's methods are built once, here, and each
-    group's sources pass ``check_sources``, before anything is written. A group, one
-    ``map_jobs`` payload, is ``(train config, sources, held-out dataset, [(output,
-    method)])``: the jobs that share one expert trajectory (README "Expert memo"). Groups
-    run in (seed, held-out id) order.
+    A run is ``(config, methods)``: the config its output's ``config.json`` records and
+    the specs it trains. ``plan`` gives the seeds' train configs and suites and the
+    held-out ids. Each seed's suite is built once, here, and each group's sources pass
+    ``check_sources``, before anything is written. A group, one ``map_jobs`` payload, is
+    ``(train config, sources, held-out dataset, [(output, method)])``: the jobs that share
+    one expert trajectory (README "Expert memo"). Groups run in (seed, held-out id) order.
     """
-    suites = {seed: build_suite(config, seed=seed) for seed in config["seeds"]}
-    train_cfgs = {seed: build_train_config(config, seed) for seed in suites}
-    helds = held_out_ids(config, suites[config["seeds"][0]])
-    plan = [dict(config, output=output, methods=methods) for output, methods in runs]
-    group_jobs = [(output, build_method(m)) for output, methods in runs for m in methods]
+    group_jobs = [(config["output"], m) for config, methods in runs for m in methods]
     groups = []
-    for seed, h in itertools.product(sorted(suites), sorted(helds)):
-        sources = [ds for ds in suites[seed] if ds.domain_id != h]
-        try:
-            check_sources(sources, train_cfgs[seed].batch_per_domain)
-        except ConfigError as e:
-            raise CliError(f"config.{e}") from None
-        groups.append((train_cfgs[seed], sources,
-                       next(ds for ds in suites[seed] if ds.domain_id == h), group_jobs))
-    for run in plan:
-        mm.atomic_write(Path(run["output"]) / "config.json",
-                        lambda f: json.dump(run, f, indent=2))
+    for seed in sorted(plan.train):
+        suite = plan.suite(seed)
+        for h in sorted(plan.held_out):
+            sources = [ds for ds in suite if ds.domain_id != h]
+            try:
+                check_sources(sources, plan.train[seed].batch_per_domain)
+            except ConfigError as e:
+                raise CliError(f"config.{e}") from None
+            groups.append((plan.train[seed], sources, suite[h], group_jobs))
+    for config, _ in runs:
+        mm.atomic_write(Path(config["output"]) / "config.json",
+                        lambda f: json.dump(config, f, indent=2))
     for done in map_jobs(_run_group, groups, jobs):
         print("\n".join(f"finished {path}" for path in done))
-    return helds
 
 
 def cmd_train(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    config = load_config(args)
-    train_jobs(config, [(config["output"], config["methods"])], args.jobs)
+    plan = load_config(args)
+    train_jobs(plan, [(plan.config, plan.methods)], args.jobs)
     return 0
 
 
 def cmd_compare(args) -> int:
-    config = load_config(args)
-    out = Path(config["output"])
-    suite = build_suite(config, seed=config["seeds"][0])
-    helds = held_out_ids(config, suite)
-    method_names = [m["kind"] for m in config["methods"]]
-
-    table = {}
-    gaps = []
-    for name in method_names:
-        for h in helds:
-            accs = []
-            for seed in config["seeds"]:
-                p = run_dir(out, name, seed, h) / "run.json"   # present once the run is complete
-                if not p.exists():
-                    gaps.append(f"{name} seed={seed} held_out={h}: missing {p}")
-                    continue
-                acc = json.loads(p.read_text())["ood_accuracy"]
-                if acc is None:
-                    gaps.append(f"{name} seed={seed} held_out={h}: no ood_accuracy in {p}")
-                    continue
-                accs.append(acc)
-            if accs:
-                table[(name, h)] = (float(np.mean(accs)), float(np.std(accs)))
-    for g in gaps:
-        print(f"missing run: {g}", file=sys.stderr)
-    if not table:
-        print("no completed runs found", file=sys.stderr)
-        return 1
-
-    header = ["method"] + [f"domain{h}" for h in helds] + ["Avg"]
+    plan = load_config(args)
+    out = Path(plan.config["output"])
+    header = ["method"] + [f"domain{h}" for h in plan.held_out] + ["Avg"]
     csv_rows, md_rows = [], []
-    for name in method_names:
+    for name in (m.name for m in plan.methods):
         cells_csv, cells_md, means = [], [], []
-        for h in helds:
-            if (name, h) in table:
-                mean, std = table[(name, h)]
+        for h in plan.held_out:
+            accs = []
+            for seed in plan.config["seeds"]:
+                p = run_dir(out, name, seed, h) / "run.json"   # present once the run is complete
+                acc = json.loads(p.read_text())["ood_accuracy"] if p.exists() else None
+                if acc is None:
+                    gap = f"no ood_accuracy in {p}" if p.exists() else f"missing {p}"
+                    print(f"missing run: {name} seed={seed} held_out={h}: {gap}", file=sys.stderr)
+                else:
+                    accs.append(acc)
+            if accs:
+                mean, std = float(np.mean(accs)), float(np.std(accs))
                 cells_csv.append(f"{mean:.4f}")
                 cells_md.append(f"{100 * mean:.1f} ± {100 * std:.1f}")
                 means.append(mean)
             else:
                 cells_csv.append("")
                 cells_md.append("—")
-        avg = f"{100 * np.mean(means):.1f}" if means else "—"
-        csv_rows.append([name] + cells_csv + ([f"{np.mean(means):.4f}"] if means else [""]))
-        md_rows.append([name] + cells_md + [avg])
+        csv_rows.append([name] + cells_csv + [f"{np.mean(means):.4f}" if means else ""])
+        md_rows.append([name] + cells_md + [f"{100 * np.mean(means):.1f}" if means else "—"])
+    if all(row[-1] == "" for row in csv_rows):
+        print("no completed runs found", file=sys.stderr)
+        return 1
 
     write_csv(out / "summary.csv", header, csv_rows)
 
@@ -419,11 +403,11 @@ def cmd_analyze(args) -> int:
     if not run_jsons:
         raise CliError(f"no completed runs found in {root}")
     config_path = root / "config.json"
-    config = json.loads(config_path.read_text()) if config_path.exists() else None
+    plan = validate_config(json.loads(config_path.read_text())) if config_path.exists() else None
     runs = [(p.parent, json.loads(p.read_text())) for p in run_jsons]
     # Built before anything is written, so a suite that cannot be built leaves no analysis/.
     seeds = sorted({info["seed"] for rdir, info in runs if (rdir / "target.ckpt").exists()})
-    suites = {seed: build_suite(config, seed=seed) for seed in seeds} if config else {}
+    suites = {seed: plan.suite(seed) for seed in seeds} if plan else {}
     analysis_dir = root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
@@ -445,7 +429,7 @@ def cmd_analyze(args) -> int:
                   file=sys.stderr)
 
         ckpt = rdir / "target.ckpt"
-        if ckpt.exists() and config is not None:
+        if ckpt.exists() and plan is not None:
             sources = [ds for ds in suites[info["seed"]] if ds.domain_id != info["held_out"]]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
             z = mm.forward_array(mm.load_checkpoint(ckpt).to_model(), x)
@@ -485,18 +469,19 @@ def cmd_sweep(args) -> int:
     Each value gets a complete ``train`` output at ``<output>/alpha<value>``;
     ``sweep.csv`` collects their out-of-domain accuracies.
     """
-    config = load_config(args)
-    grid = alpha_grid(config)
-    out = Path(config["output"])
-    seed = config["seeds"][0]
-    runs = [(str(out / f"alpha{a!r}"), [{"kind": LFME, "alpha_half": a}]) for a in grid]
-    helds = train_jobs(dict(config, seeds=[seed]), runs, 1)
+    plan = load_config(args)
+    out = Path(plan.config["output"])
+    seed = plan.config["seeds"][0]
+    runs = [(dict(plan.config, seeds=[seed], output=str(out / f"alpha{a!r}"),
+                  methods=[{"kind": LFME, "alpha_half": a}]), [MethodSpec(LFME, alpha_half=a)])
+            for a in plan.alphas]
+    train_jobs(replace(plan, train={seed: plan.train[seed]}), runs, 1)
     rows = []
-    for a, (output, _) in zip(grid, runs):
-        accs = [json.loads((run_dir(Path(output), LFME, seed, h) / "run.json").read_text())
-                ["ood_accuracy"] for h in helds]
+    for a, (config, _) in zip(plan.alphas, runs):
+        accs = [json.loads((run_dir(Path(config["output"]), LFME, seed, h) / "run.json")
+                           .read_text())["ood_accuracy"] for h in plan.held_out]
         rows.append([a, float(np.mean(accs)), *accs])
-    header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in helds]
+    header = ["alpha_half", "mean_ood_accuracy"] + [f"ood_acc_domain{h}" for h in plan.held_out]
     write_csv(out / "sweep.csv", header, [[repr(v) for v in r] for r in rows])
     print(f"wrote {out / 'sweep.csv'}")
     return 0

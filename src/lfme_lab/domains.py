@@ -58,22 +58,24 @@ class SuiteSpec:
         require_finite(self, ("n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
                               "seed"), numbers.Integral)
         require_finite(self, ("spurious_strength", "noise"))
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-        if self.n_domains < 2:
-            raise DataError("need at least 2 source domains")
-        if self.n_classes < 2:
-            raise DataError("need at least 2 classes")
-        if self.n_per_domain < 10:
-            raise DataError("need at least 10 samples per domain")
+        for name, least in (("seed", 0), ("n_domains", 2), ("n_classes", 2), ("n_per_domain", 10)):
+            if getattr(self, name) < least:
+                raise DataError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.d_inv < self.n_classes - 1:
-            raise DataError("d_inv must be at least n_classes-1 to hold the class simplex")
-        if self.d_spu < 0 or (self.d_spu > self.d_inv and self.d_spu > 0):
-            raise DataError("d_spu must be in [0, d_inv] for orthonormal rotations")
+            raise DataError(f"d_inv must be at least n_classes - 1 = {self.n_classes - 1} to "
+                            f"hold the class simplex, got {self.d_inv}")
+        if not 0 <= self.d_spu <= self.d_inv:
+            raise DataError(f"d_spu must be in [0, d_inv] = [0, {self.d_inv}] for orthonormal "
+                            f"rotations, got {self.d_spu}")
         if not 0.0 <= self.spurious_strength <= 1.0:
-            raise DataError(f"spurious_strength must be in [0,1], got {self.spurious_strength}")
+            raise DataError(f"spurious_strength must be in [0, 1], got {self.spurious_strength}")
         if self.noise <= 0.0:
             raise DataError(f"noise must be positive, got {self.noise}")
+
+    @property
+    def domain_ids(self) -> range:
+        """The ids of the suite's domains: the sources, then the extra domain."""
+        return range(self.n_domains + 1)
 
 
 @dataclass
@@ -135,7 +137,7 @@ def generate_suite(spec: SuiteSpec) -> list[DomainDataset]:
     rotations = _rotations(spec)
 
     datasets = []
-    for m in range(spec.n_domains + 1):
+    for m in spec.domain_ids:
         rng = np.random.default_rng([spec.seed, 7919, m])
         labels = rng.integers(spec.n_classes, size=spec.n_per_domain)
         x_inv = means[labels] + spec.noise * rng.standard_normal((spec.n_per_domain, spec.d_inv))

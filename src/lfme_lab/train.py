@@ -144,11 +144,10 @@ class TrainConfig:
         require_finite(self, ("lr", "weight_decay"), error=ConfigError)
         require_finite(self, ("steps", "batch_per_domain", "seed", "eval_every",
                               "probe_per_domain"), numbers.Integral, ConfigError)
-        if self.lr < 0 or self.steps <= 0 or self.batch_per_domain <= 0 or self.eval_every <= 0:
-            raise ConfigError("lr must be >= 0 and steps/batch/eval_every positive")
-        if self.seed < 0 or self.probe_per_domain <= 0:
-            raise ConfigError(f"seed must be >= 0 and probe_per_domain positive, got "
-                              f"{self.seed} and {self.probe_per_domain}")
+        for name, least in (("lr", 0), ("seed", 0), ("steps", 1), ("batch_per_domain", 1),
+                            ("eval_every", 1), ("probe_per_domain", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not isinstance(self.hidden_dims, tuple) or not all(
                 isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
                 for d in self.hidden_dims):

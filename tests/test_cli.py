@@ -395,9 +395,8 @@ class TestTrain:
         assert float(np.mean(probs.argmax(axis=1) == held.labels)) == info["ood_accuracy"]
 
     def test_specs_are_built_once_per_seed_and_method(self, tmp_path, monkeypatch):
-        # 1 seed x 4 held-out domains x 3 methods is 12 jobs. The config check builds the
-        # train config and each method once, and the plan builds each seed's train config
-        # and each method once more; no job builds one.
+        # 1 seed x 4 held-out domains x 3 methods is 12 jobs. The config check builds each
+        # seed's train config and each method once, into the plan; no job builds one.
         counts = Counter()
 
         def counted(name):
@@ -410,7 +409,41 @@ class TestTrain:
                               methods=[{"kind": "erm"}, {"kind": "lfme"}, {"kind": "lfme_guid"}])
         assert cli.main(["train", "-c", str(cfg), "--set", "suite.n_domains=3"]) == 0
         assert len(list((tmp_path / "out").glob("*/seed0/heldout*/run.json"))) == 12
-        assert counts == {"build_train_config": 2, "build_method": 6}
+        assert counts == {"build_train_config": 1, "build_method": 3}
+
+    def test_csv_suite_is_read_once_per_command(self, tmp_path, monkeypatch):
+        # A CSV suite does not depend on the seed: the plan reads it once for 3 seeds, in
+        # train and again in analyze.
+        merged, _ = write_suite_csv(tmp_path)
+        cfg, _ = write_config(tmp_path, suite={"csv": str(merged)}, seeds=[0, 1, 2],
+                              train={"steps": 4, "eval_every": 2})
+        reads, load = [], cli.load_csv_suite
+        monkeypatch.setattr(cli, "load_csv_suite", lambda path: reads.append(1) or load(path))
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        assert len(reads) == 1
+        assert cli.main(["analyze", str(tmp_path / "out")]) == 0
+        assert len(reads) == 2
+        assert len(list((tmp_path / "out" / "analysis").glob("*_hist_probs.csv"))) == 3
+
+    @pytest.mark.parametrize("override, message", [
+        ("train.eval_every=0", "config.train: eval_every must be at least 1, got 0"),
+        ("train.lr=-1", "config.train: lr must be at least 0, got -1"),
+        ("train.probe_per_domain=0", "config.train: probe_per_domain must be at least 1, got 0"),
+        ("suite.n_domains=1", "config.suite: n_domains must be at least 2, got 1"),
+        ("suite.n_classes=1", "config.suite: n_classes must be at least 2, got 1"),
+        ("suite.n_per_domain=9", "config.suite: n_per_domain must be at least 10, got 9"),
+        ("suite.seed=-1", "config.suite: seed must be at least 0, got -1"),
+        ("suite.noise=0", "config.suite: noise must be positive, got 0"),
+        ("suite.d_inv=1", "config.suite: d_inv must be at least n_classes - 1 = 2 to hold "
+                          "the class simplex, got 1"),
+        ("suite.d_spu=4", "config.suite: d_spu must be in [0, d_inv] = [0, 3] for "
+                          "orthonormal rotations, got 4"),
+    ])
+    def test_bad_value_names_its_key_and_value(self, tmp_path, capsys, override, message):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--set", override]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_round_trip_on_probe(self, tmp_path):
         cfg, config = write_config(tmp_path)
@@ -437,6 +470,17 @@ class TestCompare:
         ood = [float(r["value"]) for r in metrics if r["metric"] == "ood_accuracy"][0]
         assert abs(float(rows[1][1]) - ood) < 5e-5
         assert (tmp_path / "out" / "summary.md").exists()
+
+    def test_generates_no_suite(self, tmp_path, monkeypatch):
+        # The held-out ids of a synthetic suite come from its spec.
+        cfg, _ = write_config(tmp_path, held_out="all", train={"steps": 4, "eval_every": 2})
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        builds, real = [], cli.generate_suite
+        monkeypatch.setattr(cli, "generate_suite", lambda spec: builds.append(1) or real(spec))
+        assert cli.main(["compare", "-c", str(cfg)]) == 0
+        assert builds == []
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            assert next(csv.reader(f)) == ["method", "domain0", "domain1", "domain2", "Avg"]
 
     def test_missing_runs_reported(self, tmp_path, capsys):
         cfg, config = write_config(tmp_path, methods=[{"kind": "erm"}, {"kind": "ls"}])
@@ -568,7 +612,7 @@ def _suite_from(config):
 class TestConfigHandling:
     def test_round_trip_identity(self, tmp_path):
         cfg, config = write_config(tmp_path)
-        loaded = cli.load_config(_Args(config=str(cfg)))
+        loaded = cli.load_config(_Args(config=str(cfg))).config
         text = json.dumps(loaded, sort_keys=True)
         reparsed = json.loads(text)
         assert json.dumps(reparsed, sort_keys=True) == text
@@ -576,12 +620,13 @@ class TestConfigHandling:
     def test_set_override(self, tmp_path):
         cfg, _ = write_config(tmp_path)
         loaded = cli.load_config(_Args(config=str(cfg), set=["train.steps=99",
-                                                             "suite.noise=0.7"]))
+                                                             "suite.noise=0.7"])).config
         assert loaded["train"]["steps"] == 99
         assert loaded["suite"]["noise"] == 0.7
 
-    @pytest.mark.parametrize("command", ["train", "compare", "gen"])
+    @pytest.mark.parametrize("command", ["train", "compare", "gen", "sweep"])
     @pytest.mark.parametrize("override, key", [
+        ("held_out=[9]", "config.held_out must be"),     # the suite's ids are 0..2
         (f"suite.noise={10 ** 22}", "noise"),
         (f"suite.n_classes={10 ** 22}", "n_classes"),
         (f"seeds=[{10 ** 22}]", "seed"),
@@ -735,6 +780,13 @@ class TestSweep:
         monkeypatch.setattr(cli, "generate_suite", lambda spec: builds.append(1) or real(spec))
         assert cli.main(["sweep", "--set", "train.steps=5", "-o", str(tmp_path / "out")]) == 0
         assert len(builds) == 1
+
+    def test_alpha_grid_is_read_once(self, tmp_path, monkeypatch):
+        calls, alpha_grid = [], cli.alpha_grid
+        monkeypatch.setattr(cli, "alpha_grid", lambda config: calls.append(1) or alpha_grid(config))
+        cfg, _ = write_config(tmp_path, alpha_grid=[0.0, 1.0], train={"steps": 4})
+        assert cli.main(["sweep", "-c", str(cfg)]) == 0
+        assert len(calls) == 1
 
     def test_held_out_last_is_honoured(self, tmp_path):
         cfg, _ = write_config(tmp_path, alpha_grid=[0.0, 1.0])     # held_out "last"

@@ -127,16 +127,13 @@ def validate_config(config: dict) -> Plan:
             type(s) is int and 0 <= s < 2 ** 64 for s in seeds) or len(set(seeds)) != len(seeds):
         raise CliError("config.seeds must be a nonempty list of distinct integers in "
                        f"[0, 2**64), got {seeds!r}")
-    methods = [build_method(m) for m in methods]
+    methods = [build_spec(f"config.methods[{i}]", MethodSpec, m) for i, m in enumerate(methods)]
     for i, m in enumerate(methods):
         if m.kind in [n.kind for n in methods[:i]]:
             raise CliError(f"config.methods[{i}]: method kind {m.kind!r} is listed twice; "
                            "its runs would share one directory")
     csv_suite = build_suite(config) if "csv" in config["suite"] else None
-    try:
-        domains = csv_suite or SuiteSpec(**config["suite"]).domain_ids
-    except (TypeError, DataError) as e:
-        raise CliError(f"config.suite: {e}") from None
+    domains = csv_suite or build_spec("config.suite", SuiteSpec, config["suite"]).domain_ids
     return Plan(config, methods, {s: build_train_config(config, s) for s in seeds},
                 held_out_ids(config, domains), alpha_grid(config), csv_suite)
 
@@ -158,20 +155,21 @@ def build_suite(config: dict, seed: int | None = None) -> list:
     return generate_suite(SuiteSpec(**suite_cfg if seed is None else dict(suite_cfg, seed=seed)))
 
 
-def build_method(cfg: dict) -> MethodSpec:
+def build_spec(path: str, spec: type, values: dict):
+    """``spec(**values)``, or a ``CliError`` that names the bad key under ``path``, the
+    config section the values come from (``config.methods[2]``)."""
     try:
-        return MethodSpec(**cfg)
-    except (TypeError, ConfigError) as e:
-        raise CliError(f"config.methods: {e}") from None
+        return spec(**values)
+    except TypeError as e:                  # a key that is no field of ``spec``
+        raise CliError(f"{path}: {e}") from None
+    except (ConfigError, DataError) as e:   # its message starts with the field's name
+        raise CliError(f"{path}.{e}") from None
 
 
 def build_train_config(config: dict, seed: int) -> TrainConfig:
     if "seed" in config["train"]:
         raise CliError("config.train.seed is not read: each run's seed comes from config.seeds")
-    try:
-        return TrainConfig(**config["train"], seed=seed)
-    except (TypeError, ConfigError) as e:
-        raise CliError(f"config.train: {e}") from None
+    return build_spec("config.train", TrainConfig, dict(config["train"], seed=seed))
 
 
 def held_out_ids(config: dict, domains) -> list[int]:
@@ -281,10 +279,11 @@ def map_jobs(fn, payloads, jobs: int):
     """Yield ``fn(payload)`` for each payload of the list ``payloads``, in order.
 
     The pool is never larger than its work: it has ``min(jobs, len(payloads))``
-    workers. One worker runs in this process at its BLAS thread count; more are
-    forked, each with ``max(1, cpus // workers)`` BLAS threads, so the workers
-    together do not oversubscribe the CPUs. Either way, ``train_run`` drops a
-    small run to one thread (``SERIAL_BLAS_MADDS``).
+    workers. With one, the payloads run in this process at its BLAS thread count;
+    with two or more, every worker is a forked ``ProcessPoolExecutor`` process with
+    ``max(1, cpus // workers)`` BLAS threads, so the workers together do not
+    oversubscribe the CPUs. Either way, ``train_run`` drops a small run to one
+    thread (``SERIAL_BLAS_MADDS``).
     """
     workers = min(jobs, len(payloads))
     if workers <= 1:

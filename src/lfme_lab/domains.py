@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,50 +28,61 @@ class DataError(Exception):
     """Invalid suite specification or unreadable external data."""
 
 
-def require_finite(obj, names, kind=numbers.Real, error=DataError):
-    """Raise ``error`` naming the first field of ``obj`` that is not a finite ``kind``."""
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            ok = not isinstance(value, bool) and isinstance(value, kind) and np.isfinite(value)
-        except TypeError:       # np.isfinite takes no integer past 64 bits
-            raise error(f"{name} is out of range, got {value!r}") from None
-        if not ok:
-            noun = "an integer" if kind is numbers.Integral else "a finite number"
-            raise error(f"{name} must be {noun}, got {value!r}")
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
+
+
+def checked(default, kind: type, *bounds: str, each: bool = False):
+    """A spec field whose value is a ``kind`` (int or float; never a bool) that meets every
+    one of ``bounds`` (">= 0", "< 1"); with ``each``, a list or tuple of such values. A field
+    whose default is None also takes None. ``check_fields`` enforces it."""
+    return field(default=default, metadata={"check": (*_KINDS[kind], bounds, each)})
+
+
+def check_fields(spec, error: type[Exception]):
+    """Raise ``error`` naming the first field of ``spec``, or element of a list field, whose
+    value breaks its ``checked`` declaration: ``<field> must be <kind> <bounds>, got <value>``."""
+    for f in fields(spec):
+        value, rule = getattr(spec, f.name), f.metadata.get("check")
+        if rule is None or (value is None and f.default is None):
+            continue
+        kind, noun, bounds, each = rule
+        what = f"{noun} {' and '.join(bounds)}".rstrip()
+        if each and not isinstance(value, (list, tuple)):
+            raise error(f"{f.name} must be a list, got {value!r}")
+        for name, v in ([(f"{f.name}[{i}]", v) for i, v in enumerate(value)] if each
+                        else [(f.name, value)]):
+            try:
+                ok = (not isinstance(v, bool) and isinstance(v, kind) and np.isfinite(v)
+                      and all(_COMPARE[op](v, float(b)) for op, b in map(str.split, bounds)))
+            except TypeError:       # np.isfinite takes no integer past 64 bits
+                raise error(f"{name} is out of range, got {v!r}") from None
+            if not ok:
+                raise error(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    n_domains: int = 3          # M source domains; generation adds one held-out style
-    n_classes: int = 5
-    n_per_domain: int = 1000
-    d_inv: int = 6
-    d_spu: int = 6
-    spurious_strength: float = 0.9
-    noise: float = 0.75
-    seed: int = 0
+    n_domains: int = checked(3, int, ">= 2")     # M sources; generation adds one held-out style
+    n_classes: int = checked(5, int, ">= 2")
+    n_per_domain: int = checked(1000, int, ">= 10")
+    d_inv: int = checked(6, int)
+    d_spu: int = checked(6, int)
+    spurious_strength: float = checked(0.9, float, ">= 0", "<= 1")
+    noise: float = checked(0.75, float, "> 0")
+    seed: int = checked(0, int, ">= 0")
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
-        require_finite(self, ("n_domains", "n_classes", "n_per_domain", "d_inv", "d_spu",
-                              "seed"), numbers.Integral)
-        require_finite(self, ("spurious_strength", "noise"))
-        for name, least in (("seed", 0), ("n_domains", 2), ("n_classes", 2), ("n_per_domain", 10)):
-            if getattr(self, name) < least:
-                raise DataError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        check_fields(self, DataError)
         if self.d_inv < self.n_classes - 1:
-            raise DataError(f"d_inv must be at least n_classes - 1 = {self.n_classes - 1} to "
-                            f"hold the class simplex, got {self.d_inv}")
+            raise DataError(f"d_inv must be >= n_classes - 1 = {self.n_classes - 1} to hold "
+                            f"the class simplex, got {self.d_inv}")
         if not 0 <= self.d_spu <= self.d_inv:
             raise DataError(f"d_spu must be in [0, d_inv] = [0, {self.d_inv}] for orthonormal "
                             f"rotations, got {self.d_spu}")
-        if not 0.0 <= self.spurious_strength <= 1.0:
-            raise DataError(f"spurious_strength must be in [0, 1], got {self.spurious_strength}")
-        if self.noise <= 0.0:
-            raise DataError(f"noise must be positive, got {self.noise}")
 
     @property
     def domain_ids(self) -> range:

@@ -21,7 +21,6 @@ import hashlib
 import itertools
 import math
 import mmap
-import numbers
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from . import analysis as an
 from . import autodiff as ad
 from . import models as mm
 from .autodiff import softmax_np
-from .domains import DomainDataset, make_batches, one_hot, require_finite
+from .domains import DomainDataset, check_fields, checked, make_batches, one_hot
 
 ERM = "erm"
 LFME = "lfme"
@@ -97,24 +96,18 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class MethodSpec:
     kind: str
-    alpha_half: float = 1.0
-    ls_epsilon: float = 0.1
-    ramp_steps: int | None = None       # KD_CE ramp length; default steps // 2
-    hard_weight_beta: float = 1.0
+    alpha_half: float = checked(1.0, float, ">= 0")
+    ls_epsilon: float = checked(0.1, float, ">= 0", "< 1")
+    ramp_steps: int | None = checked(None, int, ">= 0")     # KD_CE ramp length; default steps // 2
+    hard_weight_beta: float = checked(1.0, float)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self):
         if not isinstance(self.kind, str) or self.kind not in METHODS:
-            raise ConfigError(f"unknown method kind {self.kind!r}")
-        require_finite(self, ("alpha_half", "ls_epsilon", "hard_weight_beta"), error=ConfigError)
-        if self.ramp_steps is not None:
-            require_finite(self, ("ramp_steps",), numbers.Integral, ConfigError)
-        if self.alpha_half < 0:
-            raise ConfigError(f"alpha_half must be >= 0, got {self.alpha_half}")
-        if not 0.0 <= self.ls_epsilon < 1.0:
-            raise ConfigError(f"ls_epsilon must be in [0,1), got {self.ls_epsilon}")
+            raise ConfigError(f"kind must be one of {', '.join(METHODS)}, got {self.kind!r}")
+        check_fields(self, ConfigError)
 
     @property
     def name(self) -> str:
@@ -123,15 +116,15 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"             # "adam" or "sgd"
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    steps: int = 5000
-    batch_per_domain: int = 32
-    seed: int = 0
-    eval_every: int = 250
-    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN
-    probe_per_domain: int = 40
+    optimizer: str = "adam"
+    lr: float = checked(1e-3, float, ">= 0")
+    weight_decay: float = checked(1e-4, float, ">= 0")
+    steps: int = checked(5000, int, ">= 1")
+    batch_per_domain: int = checked(32, int, ">= 1")
+    seed: int = checked(0, int, ">= 0")
+    eval_every: int = checked(250, int, ">= 1")
+    hidden_dims: tuple[int, ...] = checked(DEFAULT_HIDDEN, int, ">= 1", each=True)
+    probe_per_domain: int = checked(40, int, ">= 1")
 
     def __post_init__(self):    # a JSON config's list: runs and the expert key read a tuple
         if isinstance(self.hidden_dims, list):
@@ -140,18 +133,8 @@ class TrainConfig:
 
     def validate(self):
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        require_finite(self, ("lr", "weight_decay"), error=ConfigError)
-        require_finite(self, ("steps", "batch_per_domain", "seed", "eval_every",
-                              "probe_per_domain"), numbers.Integral, ConfigError)
-        for name, least in (("lr", 0), ("seed", 0), ("steps", 1), ("batch_per_domain", 1),
-                            ("eval_every", 1), ("probe_per_domain", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not isinstance(self.hidden_dims, tuple) or not all(
-                isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0
-                for d in self.hidden_dims):
-            raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims!r}")
+            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        check_fields(self, ConfigError)
 
 
 class FlatStorage:

@@ -14,7 +14,33 @@ import pytest
 from lfme_lab import cli
 from lfme_lab import models as mm
 from lfme_lab import train as tr
-from lfme_lab.domains import load_csv_suite
+from lfme_lab.domains import SuiteSpec, load_csv_suite
+
+
+def declared_field_cases():
+    """``(--set item, key path, value)`` for each field a spec declares with
+    ``domains.checked``: one wrong-kind value, and one value past each of its bounds. A
+    method field is set on the second method, so its path carries the index."""
+    cases = []
+    for section, spec in (("suite", SuiteSpec), ("train", tr.TrainConfig),
+                          ("methods", tr.MethodSpec)):
+        for f in dataclasses.fields(spec):
+            if "check" not in f.metadata or (section, f.name) == ("train", "seed"):
+                continue        # a run's training seed is set by config.seeds, not here
+            _, _, bounds, each = f.metadata["check"]
+            past = {">=": -1, ">": 0, "<=": 1, "<": 0}
+            for value in ["x"] + [int(b) + past[op] for op, b in map(str.split, bounds)]:
+                path, given = f.name, value
+                if each and value != "x":
+                    path, given = f"{f.name}[0]", [value]
+                if section == "methods":
+                    methods = [{"kind": "erm"}, {"kind": "lfme", f.name: given}]
+                    cases.append((f"methods={json.dumps(methods)}",
+                                  f"config.methods[1].{path}", value))
+                else:
+                    cases.append((f"{section}.{f.name}={json.dumps(given)}",
+                                  f"config.{section}.{path}", value))
+    return cases
 
 
 def write_config(tmp_path, **overrides):
@@ -301,17 +327,18 @@ class TestTrain:
         (f"seeds=[{10 ** 22}]", "config.seeds"),
         (f"seeds=[{2 ** 64}]", "config.seeds"),
         ("seeds.x=1", "seeds.x"),
-        ("train.lr=nan", "lr"),
-        ("train.lr=NaN", "lr"),
-        ("train.steps=\"10\"", "steps"),
+        ("train.lr=nan", "config.train.lr must be"),
+        ("train.lr=NaN", "config.train.lr must be"),
+        ("train.steps=\"10\"", "config.train.steps must be"),
         ("methods.0=1", "methods.0"),
-        ("train.hidden_dims=[0]", "hidden_dims"),
-        ("train.hidden_dims=5", "hidden_dims"),
-        ("train.hidden_dims=[2.5]", "hidden_dims"),
-        ("suite.n_classes=\"3\"", "n_classes"),
-        ("methods=[{\"kind\": \"kd_ce\", \"ramp_steps\": \"x\"}]", "ramp_steps"),
+        ("train.hidden_dims=[0]", "config.train.hidden_dims[0] must be"),
+        ("train.hidden_dims=5", "config.train.hidden_dims must be"),
+        ("train.hidden_dims=[2.5]", "config.train.hidden_dims[0] must be"),
+        ("suite.n_classes=\"3\"", "config.suite.n_classes must be"),
+        ("methods=[{\"kind\": \"kd_ce\", \"ramp_steps\": \"x\"}]",
+         "config.methods[0].ramp_steps must be"),
         ("methods=[1]", "config.methods[0]"),
-        ('methods=[{"kind": []}]', "method kind"),
+        ('methods=[{"kind": []}]', "config.methods[0].kind must be"),
         ("methods={\"kind\": \"erm\"}", "config.methods must be"),
         ("train=5", "config.train"),
         ("suite=5", "config.suite"),
@@ -396,20 +423,17 @@ class TestTrain:
 
     def test_specs_are_built_once_per_seed_and_method(self, tmp_path, monkeypatch):
         # 1 seed x 4 held-out domains x 3 methods is 12 jobs. The config check builds each
-        # seed's train config and each method once, into the plan; no job builds one.
-        counts = Counter()
-
-        def counted(name):
-            real = getattr(cli, name)
-            return lambda *args: counts.update([name]) or real(*args)
-
-        for name in ("build_train_config", "build_method"):
-            monkeypatch.setattr(cli, name, counted(name))
+        # seed's train config, each method and the suite spec once, into the plan; no job
+        # builds one.
+        counts, build_spec = Counter(), cli.build_spec
+        monkeypatch.setattr(cli, "build_spec",
+                            lambda path, *args: counts.update([path]) or build_spec(path, *args))
         cfg, _ = write_config(tmp_path, held_out="all", train={"steps": 4, "eval_every": 2},
                               methods=[{"kind": "erm"}, {"kind": "lfme"}, {"kind": "lfme_guid"}])
         assert cli.main(["train", "-c", str(cfg), "--set", "suite.n_domains=3"]) == 0
         assert len(list((tmp_path / "out").glob("*/seed0/heldout*/run.json"))) == 12
-        assert counts == {"build_train_config": 1, "build_method": 3}
+        assert counts == {"config.train": 1, "config.suite": 1, "config.methods[0]": 1,
+                          "config.methods[1]": 1, "config.methods[2]": 1}
 
     def test_csv_suite_is_read_once_per_command(self, tmp_path, monkeypatch):
         # A CSV suite does not depend on the seed: the plan reads it once for 3 seeds, in
@@ -426,23 +450,44 @@ class TestTrain:
         assert len(list((tmp_path / "out" / "analysis").glob("*_hist_probs.csv"))) == 3
 
     @pytest.mark.parametrize("override, message", [
-        ("train.eval_every=0", "config.train: eval_every must be at least 1, got 0"),
-        ("train.lr=-1", "config.train: lr must be at least 0, got -1"),
-        ("train.probe_per_domain=0", "config.train: probe_per_domain must be at least 1, got 0"),
-        ("suite.n_domains=1", "config.suite: n_domains must be at least 2, got 1"),
-        ("suite.n_classes=1", "config.suite: n_classes must be at least 2, got 1"),
-        ("suite.n_per_domain=9", "config.suite: n_per_domain must be at least 10, got 9"),
-        ("suite.seed=-1", "config.suite: seed must be at least 0, got -1"),
-        ("suite.noise=0", "config.suite: noise must be positive, got 0"),
-        ("suite.d_inv=1", "config.suite: d_inv must be at least n_classes - 1 = 2 to hold "
+        ("train.eval_every=0", "config.train.eval_every must be an integer >= 1, got 0"),
+        ("train.lr=-1", "config.train.lr must be a finite number >= 0, got -1"),
+        ("train.probe_per_domain=0",
+         "config.train.probe_per_domain must be an integer >= 1, got 0"),
+        ("train.weight_decay=-1", "config.train.weight_decay must be a finite number >= 0, got -1"),
+        ("train.optimizer=\"x\"", "config.train.optimizer must be 'adam' or 'sgd', got 'x'"),
+        ("train.hidden_dims=[4, 0]", "config.train.hidden_dims[1] must be an integer >= 1, got 0"),
+        ('methods=[{"kind": "kd_ce", "ramp_steps": -5}]',
+         "config.methods[0].ramp_steps must be an integer >= 0, got -5"),
+        ('methods=[{"kind": "erm"}, {"kind": "lfme", "alpha_half": -1}]',
+         "config.methods[1].alpha_half must be a finite number >= 0, got -1"),
+        ('methods=[{"kind": "erm"}, {"kind": "ls", "ls_epsilon": 1}]',
+         "config.methods[1].ls_epsilon must be a finite number >= 0 and < 1, got 1"),
+        ("suite.n_domains=1", "config.suite.n_domains must be an integer >= 2, got 1"),
+        ("suite.n_classes=1", "config.suite.n_classes must be an integer >= 2, got 1"),
+        ("suite.n_per_domain=9", "config.suite.n_per_domain must be an integer >= 10, got 9"),
+        ("suite.seed=-1", "config.suite.seed must be an integer >= 0, got -1"),
+        ("suite.noise=0", "config.suite.noise must be a finite number > 0, got 0"),
+        ("suite.n_classes=true", "config.suite.n_classes must be an integer >= 2, got True"),
+        (f"suite.noise={10 ** 22}", f"config.suite.noise is out of range, got {10 ** 22}"),
+        ("suite.d_inv=1", "config.suite.d_inv must be >= n_classes - 1 = 2 to hold "
                           "the class simplex, got 1"),
-        ("suite.d_spu=4", "config.suite: d_spu must be in [0, d_inv] = [0, 3] for "
+        ("suite.d_spu=4", "config.suite.d_spu must be in [0, d_inv] = [0, 3] for "
                           "orthonormal rotations, got 4"),
     ])
     def test_bad_value_names_its_key_and_value(self, tmp_path, capsys, override, message):
         cfg, _ = write_config(tmp_path)
         assert cli.main(["train", "-c", str(cfg), "--set", override]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, path, value", declared_field_cases())
+    def test_each_declared_field_names_its_path_and_value(self, tmp_path, capsys, override,
+                                                          path, value):
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["train", "-c", str(cfg), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} must be ") and err.endswith(f", got {value!r}\n")
         assert not (tmp_path / "out").exists()
 
     def test_checkpoint_round_trip_on_probe(self, tmp_path):

@@ -1,10 +1,16 @@
 """Property tests: a JSON value under any known config key makes ``lfme train``,
 ``compare`` or ``gen`` succeed (exit 0) or report a configuration error (exit 1), never
-fail with exit 2; so does any ``alpha_grid`` value under ``lfme sweep``."""
+fail with exit 2; so does any ``alpha_grid`` value under ``lfme sweep``. A value that
+breaks its own field's ``checked`` declaration is reported under that field's key."""
 
+import contextlib
+import io
 import json
+import operator
 import tempfile
 from dataclasses import fields
+
+import numpy as np
 
 import pytest
 
@@ -17,10 +23,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 # Every key a config may set, except suite.csv (CSV ingestion, which takes no other key).
 # ``exit_code`` always passes --output, so a drawn ``output`` value never names a real path.
-KEYS = (["suite", "train", "methods", "seeds", "held_out", "output", "alpha_grid"]
-        + [f"{section}.{f.name}" for section, spec in
-           (("suite", SuiteSpec), ("train", TrainConfig), ("methods[0]", MethodSpec))
-           for f in sorted(fields(spec), key=lambda f: f.name)])
+FIELDS = {f"{section}.{f.name}": f for section, spec in
+          (("suite", SuiteSpec), ("train", TrainConfig), ("methods[0]", MethodSpec))
+          for f in sorted(fields(spec), key=lambda f: f.name)}
+KEYS = ["suite", "train", "methods", "seeds", "held_out", "output", "alpha_grid", *FIELDS]
 COMMANDS = ["train", "compare", "gen"]
 
 # Small integers keep a generated suite or network small enough to train in milliseconds.
@@ -44,17 +50,38 @@ def set_arg(key: str, value) -> str:
     return f"{key}={json.dumps(value)}"
 
 
-def exit_code(command: str, *sets: str) -> int:
-    with tempfile.TemporaryDirectory() as out:
+COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def breaks_declaration(key: str, value) -> bool:
+    """Whether ``value`` breaks the kind or a bound that ``key``'s field declares."""
+    f = FIELDS.get(key)
+    if f is None or "check" not in f.metadata or (value is None and f.default is None):
+        return False
+    kind, _, bounds, each = f.metadata["check"]
+    if each and not isinstance(value, list):
+        return True
+    try:
+        return not all(type(v) is not bool and isinstance(v, kind) and np.isfinite(v)
+                       and all(COMPARE[op](v, float(b)) for op, b in map(str.split, bounds))
+                       for v in (value if each else [value]))
+    except TypeError:       # an integer past 64 bits
+        return True
+
+
+def run(command: str, *sets: str) -> tuple[int, str]:
+    """The exit code and standard error of ``lfme <command>`` over ``BASE`` and ``sets``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         argv = [command, "--output", out]
         # train.steps=1 comes last, so no drawn value lengthens a run past one step.
         for item in [*BASE, *sets, "train.steps=1"]:
             argv += ["--set", item]
-        return cli.main(argv)
+        return cli.main(argv), err.getvalue()
 
 
 def test_base_run_trains():
-    assert exit_code("train") == 0
+    assert run("train")[0] == 0
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
@@ -63,8 +90,12 @@ def test_base_run_trains():
 @example(command="train", key="train.probe_per_domain", value=-1)   # once a ValueError from rng.choice
 @example(command="compare", key="methods[0].kind", value=0)     # once a TypeError joining paths
 @example(command="train", key="suite.noise", value=10 ** 22)    # once a TypeError from np.isfinite
+@example(command="train", key="train.hidden_dims", value=[True])
 def test_any_value_under_a_known_key_is_a_run_or_a_config_error(command, key, value):
-    assert exit_code(command, set_arg(key, value)) in (0, 1)
+    code, err = run(command, set_arg(key, value))
+    assert code in (0, 1)
+    if key != "train.steps" and breaks_declaration(key, value):     # steps is set last
+        assert code == 1 and err.startswith(f"error: config.{key}")
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -74,4 +105,4 @@ def test_any_value_under_a_known_key_is_a_run_or_a_config_error(command, key, va
 @example(grid=5)                        # once a TypeError
 @example(grid=[1e200])                  # once an AnalysisError on a constant probe row
 def test_any_alpha_grid_is_a_sweep_or_a_config_error(grid):
-    assert exit_code("sweep", f"alpha_grid={json.dumps(grid)}") in (0, 1)
+    assert run("sweep", f"alpha_grid={json.dumps(grid)}")[0] in (0, 1)

@@ -10,7 +10,7 @@ if str(ROOT) not in sys.path:
 
 from lfme_lab import cli  # noqa: E402
 from perfbench.tracing import Tracer, layer_patches, patched  # noqa: E402
-from perfbench.workloads import PooledCliWorkload  # noqa: E402
+from perfbench.workloads import PooledCliWorkload, make_workloads  # noqa: E402
 
 
 def test_every_layer_patch_resolves():
@@ -27,3 +27,10 @@ def test_pooled_setup_resolves_the_plans_held_out_ids():
     config, seed, helds = PooledCliWorkload(steps=4).setup(0)
     assert (seed, helds) == (0, [0, 1, 2, 3])
     assert cli.validate_config(config).held_out == helds
+
+
+def test_in_process_setup_validates_the_specs_it_builds():
+    # InProcessWorkload.setup calls TrainConfig.validate and MethodSpec.validate by name.
+    _, _, config, methods = make_workloads(small_steps=4)["guided_small"].setup(0)
+    assert config.validate() is None
+    assert [m.validate() for _, m in methods] == [None] * 4

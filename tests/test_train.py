@@ -639,15 +639,22 @@ class TestTrainLoop:
         assert run.selected.target_params is None
         assert run.selected.weighting_params is not None
 
-    @pytest.mark.parametrize("spec, bad", [
-        (tr.MethodSpec, {"kind": "nonsense"}), (tr.MethodSpec, {"kind": "ls", "ls_epsilon": 1.0}),
-        (tr.MethodSpec, {"kind": "lfme", "alpha_half": -1.0}),
-        (tr.TrainConfig, {"optimizer": "rmsprop"}), (tr.TrainConfig, {"steps": 0}),
-        (tr.TrainConfig, {"hidden_dims": [4, 0]}), (tr.TrainConfig, {"lr": float("nan")}),
+    @pytest.mark.parametrize("spec, bad, message", [
+        (tr.MethodSpec, {"kind": "nonsense"}, "kind must be one of erm, lfme, "),
+        (tr.MethodSpec, {"kind": "ls", "ls_epsilon": 1.0},
+         "ls_epsilon must be a finite number >= 0 and < 1, got 1.0"),
+        (tr.MethodSpec, {"kind": "lfme", "alpha_half": -1.0},
+         "alpha_half must be a finite number >= 0, got -1.0"),
+        (tr.TrainConfig, {"optimizer": "rmsprop"}, "optimizer must be 'adam' or 'sgd', got "),
+        (tr.TrainConfig, {"steps": 0}, "steps must be an integer >= 1, got 0"),
+        (tr.TrainConfig, {"hidden_dims": [4, 0]}, "hidden_dims[1] must be an integer >= 1, got 0"),
+        (tr.TrainConfig, {"lr": float("nan")}, "lr must be a finite number >= 0, got nan"),
     ], ids=["kind", "ls_epsilon", "alpha_half", "optimizer", "steps", "hidden_dims", "lr"])
-    def test_invalid_spec_raises_when_built(self, spec, bad):
-        with pytest.raises(tr.ConfigError):
+    def test_invalid_spec_raises_when_built(self, spec, bad, message):
+        # A library caller gets the CLI's message without its config path.
+        with pytest.raises(tr.ConfigError) as e:
             spec(**bad)
+        assert str(e.value).startswith(message)
 
     @pytest.mark.parametrize("n_sources, batch, match", [
         (1, 16, "at least 2 source domains, got 1"),

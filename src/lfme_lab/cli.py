@@ -44,18 +44,24 @@ class CliError(Exception):
     """Configuration-level failure (exit code 1)."""
 
 
-def load_config(args) -> dict:
-    config = {}
-    if args.config:
-        try:
-            with open(args.config) as f:
-                config = json.load(f)
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {args.config}") from None
-        except ValueError as e:     # JSONDecodeError, or an integer over Python's digit limit
-            raise CliError(f"config is not valid JSON: {e}") from None
-        if not isinstance(config, dict):
-            raise CliError(f"config must be a JSON object, got {config!r}")
+def read_config(path) -> dict:
+    """The JSON object in the config file ``path``, or a ``CliError``."""
+    try:
+        with open(path) as f:
+            config = json.load(f)
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}") from None
+    except OSError as e:            # a directory, say
+        raise CliError(f"cannot read config file {path}: {e.strerror}") from None
+    except ValueError as e:         # JSONDecodeError, or an integer over Python's digit limit
+        raise CliError(f"config is not valid JSON: {e}") from None
+    if not isinstance(config, dict):
+        raise CliError(f"config must be a JSON object, got {config!r}")
+    return config
+
+
+def load_config(args) -> Plan:
+    config = read_config(args.config) if args.config else {}
     for key, default in CONFIG_DEFAULTS.items():    # before --set: config.json's key order
         config.setdefault(key, copy.deepcopy(default))
 
@@ -218,8 +224,7 @@ def execute_job(output, method: MethodSpec, train_cfg: TrainConfig, sources, hel
         for name, value in metrics.items():
             rows.append([*base, ev.step, name, repr(value)])
     rows.append([*base, run.selected_step, "selected_step", run.selected_step])
-    if run.ood_accuracy is not None:
-        rows.append([*base, run.selected_step, "ood_accuracy", repr(run.ood_accuracy)])
+    rows.append([*base, run.selected_step, "ood_accuracy", repr(run.ood_accuracy)])
     write_csv(out / "metrics.csv",
               ["method", "seed", "held_out_domain", "step", "metric", "value"], rows)
 
@@ -362,12 +367,11 @@ def cmd_compare(args) -> int:
             accs = []
             for seed in plan.config["seeds"]:
                 p = run_dir(out, name, seed, h) / "run.json"   # present once the run is complete
-                acc = json.loads(p.read_text())["ood_accuracy"] if p.exists() else None
-                if acc is None:
-                    gap = f"no ood_accuracy in {p}" if p.exists() else f"missing {p}"
-                    print(f"missing run: {name} seed={seed} held_out={h}: {gap}", file=sys.stderr)
+                if p.exists():
+                    accs.append(json.loads(p.read_text())["ood_accuracy"])
                 else:
-                    accs.append(acc)
+                    print(f"missing run: {name} seed={seed} held_out={h}: missing {p}",
+                          file=sys.stderr)
             if accs:
                 mean, std = float(np.mean(accs)), float(np.std(accs))
                 cells_csv.append(f"{mean:.4f}")
@@ -396,40 +400,36 @@ def cmd_compare(args) -> int:
 
 def cmd_analyze(args) -> int:
     root = Path(args.run_dir)
-    if not root.exists():
-        raise CliError(f"run directory not found: {root}")
-    run_jsons = sorted(root.glob("*/seed*/heldout*/run.json"))
-    if not run_jsons:
+    plan = validate_config(read_config(root / "config.json"))
+    runs = sorted((run_dir(root, m.name, seed, h), m, seed, h)
+                  for m in plan.methods for seed in plan.train for h in plan.held_out)
+    runs = [run for run in runs if (run[0] / "run.json").exists()]
+    if not runs:
         raise CliError(f"no completed runs found in {root}")
-    config_path = root / "config.json"
-    plan = validate_config(json.loads(config_path.read_text())) if config_path.exists() else None
-    runs = [(p.parent, json.loads(p.read_text())) for p in run_jsons]
     # Built before anything is written, so a suite that cannot be built leaves no analysis/.
-    seeds = sorted({info["seed"] for rdir, info in runs if (rdir / "target.ckpt").exists()})
-    suites = {seed: plan.suite(seed) for seed in seeds} if plan else {}
+    seeds = sorted({seed for rdir, _, seed, _ in runs if (rdir / "target.ckpt").exists()})
+    suites = {seed: plan.suite(seed) for seed in seeds}
     analysis_dir = root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
 
     entropy_rows = []
-    for rdir, info in runs:
-        name = f"{info['method']['kind']}_seed{info['seed']}_heldout{info['held_out']}"
+    for rdir, method, seed, held in runs:
+        name = f"{method.kind}_seed{seed}_heldout{held}"
 
         with open(rdir / "metrics.csv", newline="") as f:
             ent = [float(r["value"]) for r in csv.DictReader(f) if r["metric"] == "val_entropy"]
-        if ent:
-            entropy_rows.append([info["method"]["kind"], info["seed"], info["held_out"],
-                                 repr(ent[-1])])
+        entropy_rows.append([method.kind, seed, held, repr(ent[-1])])
 
         rescale = rdir / "rescale.csv"
         if rescale.exists():
             (analysis_dir / f"{name}_rescale.csv").write_bytes(rescale.read_bytes())
-        elif info["method"].get("alpha_half", 1.0) == 0.0:
+        elif method.alpha_half == 0.0:
             print(f"notice: no rescale trace for {name} (guidance weight is 0)",
                   file=sys.stderr)
 
         ckpt = rdir / "target.ckpt"
-        if ckpt.exists() and plan is not None:
-            sources = [ds for ds in suites[info["seed"]] if ds.domain_id != info["held_out"]]
+        if ckpt.exists():
+            sources = [ds for ds in suites[seed] if ds.domain_id != held]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
             z = mm.forward_array(mm.load_checkpoint(ckpt).to_model(), x)
             q = softmax_np(z)
@@ -440,9 +440,8 @@ def cmd_analyze(args) -> int:
                           [[repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
                            for i, c in enumerate(counts)])
 
-    if entropy_rows:
-        write_csv(analysis_dir / "entropy_summary.csv",
-                  ["method", "seed", "held_out_domain", "val_entropy"], entropy_rows)
+    write_csv(analysis_dir / "entropy_summary.csv",
+              ["method", "seed", "held_out_domain", "val_entropy"], entropy_rows)
     print(f"analysis written to {analysis_dir}")
     return 0
 

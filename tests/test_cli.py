@@ -353,12 +353,17 @@ class TestTrain:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("top", ["[1, 2]", "5", "null", "\"erm\""])
+    @pytest.mark.parametrize("top", ["[1, 2]", "5", "null", "\"erm\"", "a directory"])
     def test_non_object_config_exit_code(self, tmp_path, capsys, top):
         cfg = tmp_path / "config.json"
-        cfg.write_text(top)
+        if top == "a directory":
+            cfg.mkdir()
+            error = f"error: cannot read config file {cfg}: Is a directory"
+        else:
+            cfg.write_text(top)
+            error = "error: config must be a JSON object"
         assert cli.main(["train", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+        assert capsys.readouterr().err.startswith(error)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("csv_path", ["5", "\"missing.csv\""])
@@ -603,20 +608,55 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: config.suite.csv: [Errno 2]")
         assert not (tmp_path / "tree" / "analysis").exists()
 
-    @pytest.mark.parametrize("tree", ["empty", "sweep"])
-    def test_no_completed_runs_exit_code(self, tmp_path, capsys, tree):
-        # A sweep root holds its runs one level deeper, under alpha<value>/.
+    @pytest.mark.parametrize("tree, config_json, error", [
+        ("empty", None, "config file not found"),
+        ("sweep", None, "config file not found"),   # each alpha<value>/ holds its own config
+        ("empty", "train's", "no completed runs found"),
+        ("train", None, "config file not found"),
+        ("train", "a directory", "cannot read config file"),
+        ("train", "{", "config is not valid JSON"),
+        ("train", "[1, 2]", "config must be a JSON object"),
+    ], ids=["empty", "sweep", "config only", "no config", "config dir", "invalid json",
+            "json list"])
+    def test_no_completed_runs_exit_code(self, tmp_path, capsys, tree, config_json, error):
+        # analyze reads the runs that the root's config.json lists: without a readable JSON
+        # object there, or with none of its runs complete, it exits 1 and writes nothing.
         root = tmp_path / "out"
-        if tree == "sweep":
-            cfg, _ = write_config(tmp_path, alpha_grid=[0.0], train={"steps": 4})
-            assert cli.main(["sweep", "-c", str(cfg)]) == 0
-        else:
+        cfg, _ = write_config(tmp_path, alpha_grid=[0.0], train={"steps": 4})
+        if tree == "empty":
             root.mkdir()
+        else:
+            assert cli.main([tree, "-c", str(cfg)]) == 0
+        path = root / "config.json"
+        path.unlink(missing_ok=True)
+        if config_json == "a directory":
+            path.mkdir()
+        elif config_json is not None:
+            path.write_text(cfg.read_text() if config_json == "train's" else config_json)
         capsys.readouterr()
         assert cli.main(["analyze", str(root)]) == 1
-        assert "no completed runs found" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not (root / "analysis").exists()
 
+    @pytest.mark.parametrize("change", ["suite.d_spu=2", "suite.noise=2.0"])
+    def test_reads_only_the_runs_its_config_lists(self, tmp_path, change):
+        # A retrain of ls on another suite into the same output leaves the erm run in the
+        # tree, but config.json now lists only ls. No histogram may come from the erm run:
+        # it was trained on another suite (with another d_spu, one its checkpoint cannot read).
+        cfg, _ = write_config(tmp_path, train={"steps": 4})
+        out = tmp_path / "out"
+        assert cli.main(["train", "-c", str(cfg)]) == 0
+        assert cli.main(["train", "-c", str(cfg), "--set", 'methods=[{"kind": "ls"}]',
+                         "--set", change]) == 0
+        assert (cli.run_dir(out, "erm", 0, 2) / "run.json").exists()
+        assert cli.main(["analyze", str(out)]) == 0
+        adir = out / "analysis"
+        assert sorted(p.name for p in adir.iterdir()) == [
+            "entropy_summary.csv", "ls_seed0_heldout2_hist_logits.csv",
+            "ls_seed0_heldout2_hist_probs.csv"]
+        with open(adir / "entropy_summary.csv", newline="") as f:
+            assert [row[:3] for row in csv.reader(f)] == [
+                ["method", "seed", "held_out_domain"], ["ls", "0", "2"]]
 
     def test_each_seed_suite_built_once(self, tmp_path, monkeypatch):
         cfg, _ = write_config(tmp_path, seeds=[0, 1], held_out="all")

@@ -34,3 +34,11 @@ def test_in_process_setup_validates_the_specs_it_builds():
     _, _, config, methods = make_workloads(small_steps=4)["guided_small"].setup(0)
     assert config.validate() is None
     assert [m.validate() for _, m in methods] == [None] * 4
+
+
+def test_pooled_round_runs_compare_and_analyze(tmp_path):
+    # The round's check expects one entropy_summary.csv row per method and held-out id.
+    workload = PooledCliWorkload(steps=4)
+    records = workload.run_round(workload.setup(0), tmp_path, serial=True).records
+    assert len(records) == 16
+    assert all(rec.ok for rec in records), [rec.problem for rec in records]

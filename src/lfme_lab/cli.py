@@ -244,16 +244,14 @@ def execute_job(output, method: MethodSpec, train_cfg: TrainConfig, sources, hel
 
     sel = run.selected
     if sel.target_params is not None:
-        model = run.selected_target_model()
-        mm.save_checkpoint(model, out / "target.ckpt", role="target",
-                           step=run.selected_step, seed=seed)
-    if sel.expert_params is not None:
-        for i, e in enumerate(run.selected_expert_models()):
-            mm.save_checkpoint(e, out / f"expert{i}.ckpt", role="expert", index=i,
-                               step=run.selected_step, seed=seed)
+        mm.save_checkpoint(sel.target_params, out / "target.ckpt", role="target",
+                           step=sel.step, seed=seed)
+    for i, arrays in enumerate(sel.expert_params or []):
+        mm.save_checkpoint(arrays, out / f"expert{i}.ckpt", role="expert", index=i,
+                           step=sel.step, seed=seed)
     if sel.weighting_params is not None:
-        mm.save_checkpoint(mm.model_from_arrays(sel.weighting_params), out / "weighting.ckpt",
-                           role="weighting", step=run.selected_step, seed=seed)
+        mm.save_checkpoint(sel.weighting_params, out / "weighting.ckpt", role="weighting",
+                           step=sel.step, seed=seed)
     # Written last, atomically: a run directory holding run.json is complete.
     info = {"method": asdict(method), "seed": seed, "held_out": held,
             "sources": run.source_ids, "selected_step": run.selected_step,
@@ -288,16 +286,19 @@ def map_jobs(fn, payloads, jobs: int):
     with two or more, every worker is a forked ``ProcessPoolExecutor`` process with
     ``max(1, cpus // workers)`` BLAS threads, so the workers together do not
     oversubscribe the CPUs. Either way, ``train_run`` drops a small run to one
-    thread (``SERIAL_BLAS_MADDS``).
+    thread (``SERIAL_BLAS_MADDS``). The fork start method is pinned, whatever the
+    platform's default, so a worker inherits this process's state: its expert memo
+    and any function a caller patched.
     """
     workers = min(jobs, len(payloads))
     if workers <= 1:
         yield from map(fn, payloads)
         return
-    from concurrent.futures import ProcessPoolExecutor     # multiprocessing costs every import
+    import multiprocessing                              # multiprocessing costs every import
+    from concurrent.futures import ProcessPoolExecutor
     threads = max(1, len(os.sched_getaffinity(0)) // workers)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
-                             initargs=(threads,)) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share_cpus, initargs=(threads,)) as pool:
         yield from pool.map(fn, payloads)
 
 
@@ -431,7 +432,7 @@ def cmd_analyze(args) -> int:
         if ckpt.exists():
             sources = [ds for ds in suites[seed] if ds.domain_id != held]
             x = np.concatenate([ds.features[ds.val_idx] for ds in sources])
-            z = mm.forward_array(mm.load_checkpoint(ckpt).to_model(), x)
+            z = mm.forward_array(mm.load_checkpoint(ckpt).arrays, x)
             q = softmax_np(z)
             for tag, values in (("logits", z.ravel()), ("probs", q.ravel())):
                 counts, edges = np.histogram(values, bins=50)

@@ -5,6 +5,7 @@ and the domain-weighting network: ReLU hidden layers, identity output, so
 the forward pass yields raw logits and losses apply softmax themselves. A
 forward pass is one ``autodiff.mlp`` op, so a model adds one node to a graph.
 The M experts train as one stacked model whose parameters are [M, ...] arrays.
+Outside training a model is its parameter list [w0, b0, w1, b1, ...] of arrays.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class MlpModel:
             params.append(b)
         return params
 
-    def param_arrays(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
-
 
 def init_mlp(layer_dims, seed) -> MlpModel:
     """Uniform(-sqrt(6/fan_in), +sqrt(6/fan_in)) weights, zero biases."""
@@ -63,18 +61,6 @@ def init_mlp(layer_dims, seed) -> MlpModel:
     return MlpModel(layer_dims, weights, biases)
 
 
-def model_from_arrays(arrays) -> MlpModel:
-    """An MLP over parameter arrays (weight, bias, ...), not copies; dims read off them."""
-    params = [ad.parameter(a) for a in arrays]
-    shapes = [p.data.shape for p in params]
-    dims = [*shapes[0][:1], *(s[-1] for s in shapes[1::2] if s)] if shapes else []
-    chained = [s for fan_in, fan_out in zip(dims, dims[1:])
-               for s in ((fan_in, fan_out), (fan_out,))]
-    if len(dims) < 2 or min(dims) <= 0 or shapes != chained:
-        raise ValueError(f"parameter shapes {shapes} are not (weight, bias) pairs that chain")
-    return MlpModel(dims, params[::2], params[1::2])
-
-
 def stack_models(models: list[MlpModel]) -> MlpModel:
     """One model whose parameters are [M, ...] stacks of M same-shape models' parameters."""
     dims = models[0].layer_dims
@@ -86,17 +72,6 @@ def stack_models(models: list[MlpModel]) -> MlpModel:
     return MlpModel(dims, stacked[::2], stacked[1::2])
 
 
-def unstack(model: MlpModel) -> list[MlpModel]:
-    """Per-member models whose parameters are views of a stacked model's storage.
-
-    A view follows in-place updates of the stack, so make views after an
-    optimizer has taken over (and rebound) the stacked parameters.
-    """
-    return [MlpModel(model.layer_dims, [ad.tensor(w.data[i]) for w in model.weights],
-                     [ad.tensor(b.data[i]) for b in model.biases])
-            for i in range(model.weights[0].data.shape[0])]
-
-
 def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
     """Logits for a batch of feature rows; ReLU hidden, identity output.
 
@@ -106,15 +81,14 @@ def forward(model: MlpModel, x: ad.Tensor) -> ad.Tensor:
     return ad.mlp(x, model.weights, model.biases)
 
 
-def forward_array(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Graph-free forward pass on a plain array (evaluation path).
+def forward_array(arrays, x: np.ndarray) -> np.ndarray:
+    """Graph-free forward pass of a parameter list [w0, b0, w1, b1, ...] on a plain array.
 
-    Runs ``forward`` on constant tensors over the same parameter arrays, so no
-    op result requires grad and no tape is built.
+    One ``ad.mlp`` op on constant tensors over the arrays, so no op result requires
+    grad and no tape is built. ``ad.mlp`` raises ShapeError for layers that do not chain.
     """
-    constants = MlpModel(model.layer_dims, [ad.tensor(w.data) for w in model.weights],
-                         [ad.tensor(b.data) for b in model.biases])
-    return forward(constants, ad.tensor(x)).data
+    constants = [ad.tensor(a) for a in arrays]
+    return ad.mlp(ad.tensor(x), constants[::2], constants[1::2]).data
 
 
 @dataclass
@@ -126,9 +100,6 @@ class Checkpoint:
     seed: int
     layer_dims: list[int]
     arrays: list[np.ndarray] = field(repr=False)
-
-    def to_model(self) -> MlpModel:
-        return model_from_arrays(self.arrays)
 
 
 def atomic_write(path, writer, binary=False):
@@ -150,20 +121,21 @@ def atomic_write(path, writer, binary=False):
         raise
 
 
-def save_checkpoint(model: MlpModel, path, *, role="target", index=0, step=0, seed=0):
-    """Little-endian binary: magic, version, role, index, step, seed, dims, params."""
+def save_checkpoint(arrays, path, *, role="target", index=0, step=0, seed=0):
+    """Little-endian binary: magic, version, role, index, step, seed, dims, params.
+    ``arrays`` is a parameter list [w0, b0, w1, b1, ...]; the dims are read off it."""
     if role not in ROLE_CODES:
         raise ValueError(f"unknown role {role!r}")
+    dims = [arrays[0].shape[0], *(b.shape[0] for b in arrays[1::2])]
 
     def writer(f):
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IBIQQ", CHECKPOINT_VERSION, ROLE_CODES[role],
                             int(index), int(step), int(seed)))
-        f.write(struct.pack("<I", len(model.layer_dims)))
-        f.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
+        f.write(struct.pack("<I", len(dims)))
+        f.write(struct.pack(f"<{len(dims)}I", *dims))
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
     atomic_write(path, writer, binary=True)
 
 

@@ -281,9 +281,9 @@ def target_loss(method: MethodSpec, z: ad.Tensor, guides: dict) -> ad.Tensor:
     return ad.add(cla, ad.scale(ad.mse(z if a == "z" else q, guide), alpha_half))
 
 
-def kd_weight(alpha_half: float, step: int, ramp_steps: int | None) -> float:
-    """Linear ramp from 0 to alpha_half over ramp_steps (no ramp when None)."""
-    if ramp_steps is None or ramp_steps <= 0:
+def kd_weight(alpha_half: float, step: int, ramp_steps: int) -> float:
+    """Linear ramp from 0 to alpha_half over ramp_steps (no ramp when 0)."""
+    if ramp_steps <= 0:
         return alpha_half
     return alpha_half * min(1.0, step / ramp_steps)
 
@@ -301,26 +301,18 @@ def hard_weights(expert_losses: np.ndarray, beta: float) -> np.ndarray:
 # Evaluation helpers
 
 
-def accuracy(model: mm.MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+def accuracy(model: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
     if len(y) == 0:
         return float("nan")
     return float(np.mean(mm.forward_array(model, x).argmax(axis=1) == y))
 
 
-def average_parameters(experts: list[mm.MlpModel]) -> mm.MlpModel:
-    dims = experts[0].layer_dims
-    for e in experts[1:]:
-        if e.layer_dims != dims:
-            raise ConfigError(f"architecture mismatch for parameter soup: {e.layer_dims} vs {dims}")
-    return mm.model_from_arrays([np.mean(arrays, axis=0)
-                                 for arrays in zip(*(e.param_arrays() for e in experts))])
-
-
-def aggregate_predict(kind: str, experts: list[mm.MlpModel],
-                      weighting: mm.MlpModel | None, x: np.ndarray) -> np.ndarray:
-    """Combined expert probabilities for one inference-time aggregation rule."""
+def aggregate_predict(kind: str, experts: list[list[np.ndarray]],
+                      weighting: list[np.ndarray] | None, x: np.ndarray) -> np.ndarray:
+    """Combined expert probabilities for one inference-time aggregation rule. agg_ms
+    averages the experts' parameters; they are slices of one stack, so their shapes agree."""
     if kind == AGG_MS:
-        return softmax_np(mm.forward_array(average_parameters(experts), x))
+        return softmax_np(mm.forward_array([np.mean(a, axis=0) for a in zip(*experts)], x))
     probs = np.stack([softmax_np(mm.forward_array(e, x)) for e in experts])
     if kind == AGG_AVG:
         return probs.mean(axis=0)
@@ -336,8 +328,8 @@ def aggregate_predict(kind: str, experts: list[mm.MlpModel],
     raise ConfigError(f"not an aggregation kind: {kind!r}")
 
 
-def predicted_labels(kind: str, head: mm.MlpModel | None, experts: list[mm.MlpModel] | None,
-                     x: np.ndarray) -> np.ndarray:
+def predicted_labels(kind: str, head: list[np.ndarray] | None,
+                     experts: list[list[np.ndarray]] | None, x: np.ndarray) -> np.ndarray:
     """Each row's class: the argmax of the aggregate for an aggregation kind, whose head is
     the weighting net or None, else of the head, the target."""
     if METHODS[kind].aggregate:
@@ -392,14 +384,6 @@ class RunResult:
     @property
     def selected_step(self) -> int:
         return self.selected.step
-
-    def selected_target_model(self) -> mm.MlpModel | None:
-        arrays = self.selected.target_params
-        return None if arrays is None else mm.model_from_arrays(arrays)
-
-    def selected_expert_models(self) -> list[mm.MlpModel] | None:
-        arrays = self.selected.expert_params
-        return None if arrays is None else [mm.model_from_arrays(a) for a in arrays]
 
 
 def make_probe(sources: list[DomainDataset], config: TrainConfig) -> Probe:
@@ -540,19 +524,24 @@ def _read_only(arrays):
     return arrays
 
 
-def _recorded_params(models) -> list[list[np.ndarray]]:
-    """Read-only copies of each model's parameter arrays, in one ``_mapped`` buffer."""
-    arrays = [p.data for m in models for p in m.parameters()]
-    copies = _mapped([a.shape for a in arrays])
-    for copy, a in zip(copies, arrays):
-        copy[...] = a
-    n = len(arrays) // len(models)
-    return [_read_only(copies[i:i + n]) for i in range(0, len(copies), n)]
+def _recorded_params(stacked: mm.MlpModel) -> list[list[np.ndarray]]:
+    """Each expert's parameter arrays: read-only views of one copy of the stacked
+    parameters, in one ``_mapped`` buffer."""
+    copies = _mapped([p.data.shape for p in stacked.parameters()])
+    for copy, p in zip(copies, stacked.parameters()):
+        copy[...] = p.data
+    _read_only(copies)
+    return [[copy[i] for copy in copies] for i in range(len(copies[0]))]
 
 
 # One step of the experts: their batch (None when replayed), logits [M*B, K] and loss term,
-# and at an eval point the models to evaluate and ``params``, their read-only parameter
-# arrays, which a miss fills when the next step is drawn, after the caller's evaluation.
+# and at an eval point ``models``, each expert's parameter arrays to evaluate, and
+# ``params``, the read-only copies the point records. A replay hands out its recorded
+# arrays as both; a miss, live views of the stacked storage, and fills ``params`` only
+# when the next step is drawn (or the steps run out), after the caller has evaluated the
+# point. Copying before the yield would keep the copy alive through the head's update and
+# the evaluation of that step, and a run peaks in those of its last step: in perfbench's
+# guided_wide that raised the peak RSS from 118.9 to 125.5 MiB.
 ExpertStep = namedtuple("ExpertStep", "batch logits term models params", defaults=(None,) * 5)
 
 
@@ -583,15 +572,15 @@ def _replayed_steps(memo: ExpertTrajectory, config: TrainConfig):
     points = iter(memo.params)
     for step in range(config.steps):
         params = next(points) if _evaluates(step, config) else None
-        models = None if params is None else [mm.model_from_arrays(arrays) for arrays in params]
-        yield ExpertStep(None, memo.logits[step], memo.terms[step], models, params)
+        yield ExpertStep(None, memo.logits[step], memo.terms[step], params, params)
 
 
 def _trained_steps(sources, config, stacked, opt, record, key):
     """One update of the stacked experts per step, recorded into ``record`` if not None and
     published once the last step is drawn, so a run that raises publishes nothing."""
     steps, k = config.steps, stacked.layer_dims[-1]
-    experts = mm.unstack(stacked)       # per-expert views of the storage ``opt`` owns
+    # Per-expert views of the storage ``opt`` owns: they follow its in-place updates.
+    experts = [[p.data[i] for p in stacked.parameters()] for i in range(len(sources))]
     points = [] if record is None else record.params
     for step in range(steps):
         batch = make_batches(sources, config.batch_per_domain, config.seed, step)
@@ -607,8 +596,8 @@ def _trained_steps(sources, config, stacked, opt, record, key):
             record.logits[step], record.terms[step] = logits, term.data
         params = [] if _evaluates(step, config) else None
         yield ExpertStep(batch, logits, term.data, None if params is None else experts, params)
-        if params is not None:
-            params.extend(_recorded_params(experts))
+        if params is not None:                  # after the caller's evaluation (ExpertStep)
+            params.extend(_recorded_params(stacked))
             points.append(params)
     if record is not None:
         _read_only((record.logits, record.terms))
@@ -632,7 +621,7 @@ def check_sources(sources: list[DomainDataset], batch_per_domain: int):
 
 def train_run(sources: list[DomainDataset], method: MethodSpec, config: TrainConfig,
               held_out: DomainDataset | None = None,
-              teacher: mm.MlpModel | None = None) -> RunResult:
+              teacher: list[np.ndarray] | None = None) -> RunResult:
     """Train one method on the given source domains.
 
     The experts train on their own domains' batches with their own optimizer, the
@@ -658,11 +647,11 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
     Each step reads the experts' ``ExpertStep``, trained or replayed alike: the head
     trains on their batch (or builds one after a replay), for a target with their logits
     and ``q^E``, the logits' softmax, as guides; their term only adds to ``loss_trace``.
-    After the last update each optimizer is released and dropped, so the last
-    evaluation runs without them. After the loop the live models and their
-    flat data buffers are dropped: the run is scored from its records alone, the held-out
-    score from the selected point's parameter copies and the expert probe losses from
-    the experts' probe probabilities ``_evaluate`` returned for it.
+    lfme_guid's ``teacher`` is a parameter list. After the last update each optimizer is
+    released and dropped, so the last evaluation runs without them. After the loop the
+    live models and their flat data buffers are dropped: the run is scored from its
+    records alone, the held-out score from the selected point's parameter copies and the
+    expert probe losses from the experts' probe probabilities ``_evaluate`` returned for it.
     """
     d, k = dims[0], dims[-1]
     n_src, b = len(sources), config.batch_per_domain
@@ -714,13 +703,14 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
             loss = t_loss.data if loss is None else loss + t_loss.data
         loss_trace[step] = loss
         if _evaluates(step, config):
-            ev, q_expert = _evaluate(step, sources, method, head, ex.models, probe,
+            head_arrays = None if head is None else [p.data for p in head.parameters()]
+            ev, q_expert = _evaluate(step, sources, method, head_arrays, ex.models, probe,
                                      pooled_val_x, float(target_loss_trace[step]))
             ev.expert_params = ex.params
             evals.append(ev)
             expert_probe_probs.append(q_expert)
 
-    del head, ex                                # score from the records alone
+    del head, head_arrays, ex                   # score from the records alone
     selected_index = int(np.argmax([ev.mean_val_acc for ev in evals]))
 
     result = RunResult(source_ids=[ds.domain_id for ds in sources], loss_trace=loss_trace,
@@ -732,11 +722,9 @@ def _train(sources, method, config, held_out, teacher, dims) -> RunResult:
         result.expert_probe_losses = ad.cross_entropy_rows(
             ad.tensor(q_expert), one_hot(probe.y, k)).data
     if held_out is not None:
-        agg, sel = method_kind.aggregate, result.selected
-        arrays = sel.weighting_params if agg else sel.target_params
-        head = None if arrays is None else mm.model_from_arrays(arrays)
-        pred = predicted_labels(method.kind, head, result.selected_expert_models() if agg else None,
-                                held_out.features)
+        sel = result.selected
+        head = sel.weighting_params if method_kind.aggregate else sel.target_params
+        pred = predicted_labels(method.kind, head, sel.expert_params, held_out.features)
         result.ood_accuracy = float(np.mean(pred == held_out.labels))
     return result
 
@@ -745,7 +733,8 @@ def _evaluate(step, sources, method, head, experts, probe,
               pooled_val_x, target_loss_val) -> tuple[EvalPoint, np.ndarray | None]:
     """One eval point of the head and experts, and the experts' probe probabilities.
 
-    The point holds the head's parameter copies; ``_train`` adds the experts'. Train
+    ``head`` and each of ``experts`` are parameter lists, or None where the kind has
+    none. The point holds copies of the head's; ``_train`` adds the experts'. Train
     and val accuracies come from ``predicted_labels``, as the held-out score does.
     Each expert is run on its own domain's probe rows; the probabilities feed the
     rescale factors here and, at the selected point, the expert probe losses. They
@@ -788,8 +777,8 @@ def _evaluate(step, sources, method, head, experts, probe,
         rescale_f=rescale_f, rescale_fp=rescale_fp,
         expert_val_acc=expert_val_acc,
         probe_probs=probe_probs,
-        target_params=None if agg else head.param_arrays(),
-        weighting_params=head.param_arrays() if agg and head is not None else None,
+        target_params=None if agg else [a.copy() for a in head],
+        weighting_params=[a.copy() for a in head] if agg and head is not None else None,
     ), q_expert
 
 
@@ -797,9 +786,9 @@ def run_method(sources, method: MethodSpec, config: TrainConfig,
                held_out: DomainDataset | None = None) -> RunResult:
     """Entry point handling methods that need a previously trained teacher."""
     if method.kind == LFME_GUID:
-        # Only the teacher model is kept: the teacher run's evals, with their parameter
-        # copies and probe probabilities, are freed before the guided run starts.
+        # Only the teacher's parameter arrays are kept: the teacher run's evals, with their
+        # parameter copies and probe probabilities, are freed before the guided run starts.
         teacher = train_run(sources, MethodSpec(LFME, alpha_half=method.alpha_half),
-                            config, held_out=None).selected_target_model()
+                            config, held_out=None).selected.target_params
         return train_run(sources, method, config, held_out=held_out, teacher=teacher)
     return train_run(sources, method, config, held_out=held_out)

@@ -43,11 +43,10 @@ def _ratio_means(run, hard_idx, easy_idx):
 
 
 def _aggregate_accuracies(run, held):
-    experts = run.selected_expert_models()
-    weighting = mm.model_from_arrays(run.selected.weighting_params)
+    sel = run.selected
     out = {}
     for kind in (tr.AGG_AVG, tr.AGG_MS, tr.AGG_CONF, tr.AGG_DYN):
-        probs = tr.aggregate_predict(kind, experts, weighting, held.features)
+        probs = tr.aggregate_predict(kind, sel.expert_params, sel.weighting_params, held.features)
         out[kind] = float(np.mean(probs.argmax(axis=1) == held.labels))
     return out
 
@@ -359,11 +358,11 @@ class TestDeterminismAndIO:
         assert first == second
 
         ckpt = tmp_path / "a" / "lfme" / "seed5" / "heldout2" / "target.ckpt"
-        model = mm.load_checkpoint(ckpt).to_model()
+        model = mm.load_checkpoint(ckpt).arrays
         probe = np.random.default_rng(0).normal(size=(32, 8))
         before = mm.forward_array(model, probe)
         mm.save_checkpoint(model, tmp_path / "copy.ckpt", role="target", index=0,
                            step=0, seed=5)
-        again = mm.load_checkpoint(tmp_path / "copy.ckpt").to_model()
+        again = mm.load_checkpoint(tmp_path / "copy.ckpt").arrays
         after = mm.forward_array(again, probe)
         assert np.array_equal(before, after)

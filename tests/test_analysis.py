@@ -140,7 +140,7 @@ class TestHarness:
         model = mm.init_mlp([6, 3], seed=0)
         model.weights[0].data[:] = 0.0
         model.biases[0].data[:] = np.array([10.0, 0.0, 0.0])
-        acc = tr.accuracy(model, held.features, held.labels)
+        acc = tr.accuracy([p.data for p in model.parameters()], held.features, held.labels)
         assert acc == float(np.mean(held.labels == 0))
 
     def test_report_traces(self):

@@ -280,6 +280,29 @@ class TestTrain:
         assert len(list((tmp_path / "out").glob("erm/seed*/heldout*/run.json"))) == 6
         assert sorted(p.name for p in builds.iterdir()) == [f"{os.getpid()}-{s}" for s in (0, 1)]
 
+    def test_pool_workers_are_forked(self, monkeypatch):
+        # Only a forked worker inherits this process's patches and expert memo, and
+        # some platforms default to another start method (POSIX from Python 3.14 on).
+        import concurrent.futures
+        contexts = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+                contexts.append(mp_context)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert list(cli.map_jobs(str, [1, 2, 3], jobs=2)) == ["1", "2", "3"]
+        assert [c.get_start_method() for c in contexts] == ["fork"]
+
     def test_every_train_key_is_read(self, tmp_path):
         # A valid value other than the default of each TrainConfig field either changes
         # a tiny erm run's metrics or exits 1 with nothing written: no key is silently
@@ -421,9 +444,9 @@ class TestTrain:
         info = json.loads((rdir / "run.json").read_text())
         weighting = mm.load_checkpoint(rdir / "weighting.ckpt")
         assert (weighting.role, weighting.step) == ("weighting", info["selected_step"])
-        experts = [mm.load_checkpoint(rdir / f"expert{i}.ckpt").to_model() for i in range(2)]
+        experts = [mm.load_checkpoint(rdir / f"expert{i}.ckpt").arrays for i in range(2)]
         held = cli.build_suite(config, seed=0)[2]
-        probs = tr.aggregate_predict(tr.AGG_DYN, experts, weighting.to_model(), held.features)
+        probs = tr.aggregate_predict(tr.AGG_DYN, experts, weighting.arrays, held.features)
         assert float(np.mean(probs.argmax(axis=1) == held.labels)) == info["ood_accuracy"]
 
     def test_specs_are_built_once_per_seed_and_method(self, tmp_path, monkeypatch):
@@ -499,10 +522,10 @@ class TestTrain:
         cfg, config = write_config(tmp_path)
         cli.main(["train", "-c", str(cfg)])
         ck = mm.load_checkpoint(tmp_path / "out" / "erm" / "seed0" / "heldout2" / "target.ckpt")
-        model = ck.to_model()
+        assert [a.shape for a in ck.arrays] == [(6, 64), (64,), (64, 64), (64,), (64, 3), (3,)]
         x = np.random.default_rng(0).normal(size=(4, 6))
-        a = mm.forward_array(model, x)
-        b = mm.forward_array(ck.to_model(), x)
+        a = mm.forward_array(ck.arrays, x)
+        b = mm.forward_array(ck.arrays, x)
         assert np.array_equal(a, b)
 
 

@@ -7,6 +7,11 @@ from lfme_lab import autodiff as ad
 from lfme_lab import models as mm
 
 
+def arrays(model):
+    """The model's parameter list [w0, b0, w1, b1, ...], the form evaluation reads."""
+    return [p.data for p in model.parameters()]
+
+
 class TestInit:
     def test_deterministic_in_seed(self):
         a = mm.init_mlp([3, 8, 4], seed=7)
@@ -49,7 +54,7 @@ class TestForward:
             raise AssertionError("a tape was created")
 
         monkeypatch.setattr(ad.GraphTape, "__init__", no_tape)
-        assert np.array_equal(mm.forward_array(m, x), expected)
+        assert np.array_equal(mm.forward_array(arrays(m), x), expected)
         with pytest.raises(AssertionError, match="a tape was created"):
             mm.forward(m, ad.tensor(x))
 
@@ -77,7 +82,7 @@ class TestForward:
 
     def test_zero_input_zero_logits(self):
         m = mm.init_mlp([4, 8, 3], seed=2)
-        out = mm.forward_array(m, np.zeros((5, 4)))
+        out = mm.forward_array(arrays(m), np.zeros((5, 4)))
         assert np.all(out == 0.0)
 
     def test_single_linear_layer(self):
@@ -85,42 +90,47 @@ class TestForward:
         m.biases[0].data = np.array([0.5, -0.5])
         x = np.array([[1.0, 2.0, 3.0]])
         expected = x @ m.weights[0].data + m.biases[0].data
-        assert np.array_equal(mm.forward_array(m, x), expected)
+        assert np.array_equal(mm.forward_array(arrays(m), x), expected)
 
     def test_empty_batch(self):
         m = mm.init_mlp([4, 8, 3], seed=4)
-        out = mm.forward_array(m, np.zeros((0, 4)))
+        out = mm.forward_array(arrays(m), np.zeros((0, 4)))
         assert out.shape == (0, 3)
 
     def test_feature_width_mismatch(self):
         m = mm.init_mlp([4, 3], seed=0)
         with pytest.raises(ad.ShapeError):
-            mm.forward_array(m, np.zeros((2, 5)))
+            mm.forward_array(arrays(m), np.zeros((2, 5)))
 
     def test_pure(self):
         m = mm.init_mlp([4, 8, 3], seed=5)
         x = np.random.default_rng(0).normal(size=(6, 4))
-        assert np.array_equal(mm.forward_array(m, x), mm.forward_array(m, x))
+        assert np.array_equal(mm.forward_array(arrays(m), x), mm.forward_array(arrays(m), x))
+
+    @pytest.mark.parametrize("shapes", [
+        [(4, 8), (8,), (6, 3), (3,)],               # 8 -> 6 does not chain
+        [(4, 8), (7,)],                             # bias width differs from the weight's
+        [(2, 4, 8), (2, 8)],                        # a stacked pair on an unstacked batch
+    ])
+    def test_layers_that_do_not_chain_rejected(self, shapes):
+        with pytest.raises(ad.ShapeError):
+            mm.forward_array([np.zeros(s) for s in shapes], np.zeros((5, 4)))
 
 
 class TestStack:
-    def test_unstack_round_trip_and_stacked_forward(self):
+    def test_stacked_forward_matches_each_members_slices(self):
         models = [mm.init_mlp([4, 8, 3], seed=s) for s in (1, 2, 3)]
         stacked = mm.stack_models(models)
         assert stacked.weights[0].data.shape == (3, 4, 8)
         assert stacked.biases[1].data.shape == (3, 3)
         x = np.random.default_rng(0).normal(size=(3, 5, 4))
-        logits = mm.forward_array(stacked, x)
-        for i, (m, view) in enumerate(zip(models, mm.unstack(stacked))):
-            for a, b in zip(m.param_arrays(), view.param_arrays()):
+        logits = mm.forward_array(arrays(stacked), x)
+        for i, m in enumerate(models):
+            member = [p.data[i] for p in stacked.parameters()]
+            for a, b in zip(arrays(m), member):
                 assert np.array_equal(a, b)
-            assert np.array_equal(logits[i], mm.forward_array(m, x[i]))
-
-    def test_unstacked_views_share_storage(self):
-        stacked = mm.stack_models([mm.init_mlp([4, 3], seed=s) for s in (1, 2)])
-        view = mm.unstack(stacked)[1]
-        stacked.weights[0].data[1] += 1.0
-        assert np.array_equal(view.weights[0].data, stacked.weights[0].data[1])
+            assert np.array_equal(logits[i], mm.forward_array(member, x[i]))
+            assert np.array_equal(logits[i], mm.forward_array(arrays(m), x[i]))
 
     def test_mismatched_dims_rejected(self):
         with pytest.raises(ValueError, match="cannot stack"):
@@ -129,56 +139,33 @@ class TestStack:
     def test_stacked_model_needs_stacked_input(self):
         stacked = mm.stack_models([mm.init_mlp([4, 3], seed=s) for s in (1, 2)])
         with pytest.raises(ad.ShapeError):
-            mm.forward_array(stacked, np.zeros((5, 4)))
-
-
-class TestFromArrays:
-    def test_copies_without_drawing_an_init(self, monkeypatch):
-        src = mm.init_mlp([4, 8, 3], seed=6)
-        monkeypatch.setattr(mm, "init_mlp", None)
-        model = mm.model_from_arrays(src.param_arrays())
-        assert model.layer_dims == [4, 8, 3]
-        for a, b in zip(src.parameters(), model.parameters()):
-            assert np.array_equal(a.data, b.data) and not np.shares_memory(a.data, b.data)
-            assert b.requires_grad and b.grad is None
-
-    @pytest.mark.parametrize("shapes", [
-        [(4, 8)],                                   # a weight without its bias
-        [(4, 8), (8,), (6, 3), (3,)],               # 8 -> 6 does not chain
-        [(4, 8), (7,)],                             # bias width differs from the weight's
-        [(2, 4, 8), (2, 8)],                        # a stacked pair
-        [(4, 0), (0,)],                             # zero width
-        [],
-    ])
-    def test_shapes_that_do_not_chain_rejected(self, shapes):
-        with pytest.raises(ValueError):
-            mm.model_from_arrays([np.zeros(s) for s in shapes])
+            mm.forward_array(arrays(stacked), np.zeros((5, 4)))
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = mm.init_mlp([4, 8, 3], seed=6)
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(m, path, role="expert", index=2, step=10, seed=6)
+        mm.save_checkpoint(arrays(m), path, role="expert", index=2, step=10, seed=6)
         ck = mm.load_checkpoint(path)
         assert ck.role == "expert" and ck.index == 2 and ck.step == 10 and ck.seed == 6
         assert ck.layer_dims == [4, 8, 3]
-        loaded = ck.to_model()
-        for pa, pb in zip(m.parameters(), loaded.parameters()):
-            assert np.array_equal(pa.data, pb.data)
+        assert [a.shape for a in ck.arrays] == [(4, 8), (8,), (8, 3), (3,)]
+        for a, b in zip(arrays(m), ck.arrays):
+            assert np.array_equal(a, b)
 
     def test_round_trip_preserves_forward(self, tmp_path):
         m = mm.init_mlp([5, 16, 4], seed=7)
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(m, path)
-        loaded = mm.load_checkpoint(path).to_model()
+        mm.save_checkpoint(arrays(m), path)
+        loaded = mm.load_checkpoint(path).arrays
         x = np.random.default_rng(1).normal(size=(8, 5))
-        assert np.array_equal(mm.forward_array(m, x), mm.forward_array(loaded, x))
+        assert np.array_equal(mm.forward_array(arrays(m), x), mm.forward_array(loaded, x))
 
     def test_truncated_file(self, tmp_path):
         m = mm.init_mlp([4, 8, 3], seed=8)
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(m, path)
+        mm.save_checkpoint(arrays(m), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(mm.CheckpointError, match="payload"):
@@ -187,7 +174,7 @@ class TestCheckpoint:
     def test_trailing_bytes(self, tmp_path):
         m = mm.init_mlp([4, 3], seed=8)
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(m, path)
+        mm.save_checkpoint(arrays(m), path)
         path.write_bytes(path.read_bytes() + b"xtra")
         with pytest.raises(mm.CheckpointError, match="trailing"):
             mm.load_checkpoint(path)
@@ -201,7 +188,7 @@ class TestCheckpoint:
     def test_bad_version(self, tmp_path):
         m = mm.init_mlp([4, 3], seed=9)
         path = tmp_path / "m.ckpt"
-        mm.save_checkpoint(m, path)
+        mm.save_checkpoint(arrays(m), path)
         blob = bytearray(path.read_bytes())
         blob[8] = 99
         path.write_bytes(bytes(blob))

@@ -9,7 +9,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))       # as perfbench/tests/conftest.py does
 
 from lfme_lab import cli  # noqa: E402
-from perfbench.tracing import Tracer, layer_patches, patched  # noqa: E402
+from perfbench.tracing import Tracer, layer_patches, patched, traced  # noqa: E402
 from perfbench.workloads import PooledCliWorkload, make_workloads  # noqa: E402
 
 
@@ -38,7 +38,15 @@ def test_in_process_setup_validates_the_specs_it_builds():
 
 def test_pooled_round_runs_compare_and_analyze(tmp_path):
     # The round's check expects one entropy_summary.csv row per method and held-out id.
-    workload = PooledCliWorkload(steps=4)
-    records = workload.run_round(workload.setup(0), tmp_path, serial=True).records
+    # Traced, the byte counters read the path off save_checkpoint's args[1] and
+    # load_checkpoint's args[0]: each of the 16 runs writes a target.ckpt analyze reads.
+    tracer, workload = Tracer(), PooledCliWorkload(steps=4)
+    state = workload.setup(0)
+    with traced(tracer):
+        records = workload.run_round(state, tmp_path, serial=True).records
     assert len(records) == 16
     assert all(rec.ok for rec in records), [rec.problem for rec in records]
+    assert tracer.stats["models.save_checkpoint"][0] == 16
+    assert tracer.stats["models.load_checkpoint"][0] == 16
+    saved = tracer.counts["models.save_checkpoint.bytes"]
+    assert saved == tracer.counts["models.load_checkpoint.bytes"] and saved > 0

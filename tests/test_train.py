@@ -26,6 +26,11 @@ def quick_config(**kw):
     return tr.TrainConfig(**base)
 
 
+def arrays_of(model):
+    """The model's parameter list [w0, b0, w1, b1, ...], the form evaluation reads."""
+    return [p.data for p in model.parameters()]
+
+
 def guided_loss(kind, z, y, alpha_half=1.0, ls_epsilon=0.1, hard_weight_beta=1.0, **guides):
     """``train.target_loss`` for one kind, with ``y`` and the given guide arrays."""
     method = tr.MethodSpec(kind, alpha_half=alpha_half, ls_epsilon=ls_epsilon,
@@ -147,7 +152,7 @@ class TestLosses:
         assert tr.kd_weight(1.0, 0, 100) == 0.0
         assert tr.kd_weight(1.0, 50, 100) == 0.5
         assert tr.kd_weight(1.0, 500, 100) == 1.0
-        assert tr.kd_weight(0.7, 10, None) == 0.7
+        assert tr.kd_weight(0.7, 10, 0) == 0.7
 
     def test_kd_ce_at_step_zero_is_cla(self):
         rng = np.random.default_rng(4)
@@ -434,20 +439,54 @@ class TestStackedExperts:
     def test_views_follow_steps_and_recorded_copies_do_not(self):
         stacked = mm.stack_models(self.experts())
         opt = tr.Adam(stacked.parameters(), lr=0.05)
-        views = mm.unstack(stacked)
-        recorded = [v.param_arrays() for v in views]        # as EvalPoint.expert_params
-        before = [[a.copy() for a in arrays] for arrays in recorded]
+        views = [[p.data[i] for p in stacked.parameters()] for i in range(3)]   # as a miss's
+        recorded = tr._recorded_params(stacked)             # as EvalPoint.expert_params
+        before = [[a.copy() for a in expert] for expert in recorded]
+        assert [[a.shape for a in expert] for expert in recorded] == [
+            [(8, 16), (16,), (16, 12), (12,), (12, 4), (4,)]] * 3
+        for expert in recorded:
+            for a in expert:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
         rng = np.random.default_rng(3)
         for p in stacked.parameters():
             p.grad[...] = rng.normal(size=p.data.shape)
         opt.step()
         for i, view in enumerate(views):
-            for ps, pv, old in zip(stacked.parameters(), view.parameters(), before[i]):
-                assert np.array_equal(pv.data, ps.data[i])
-                assert not np.array_equal(pv.data, old)
-        for arrays, old in zip(recorded, before):
-            for a, o in zip(arrays, old):
+            for ps, pv, old in zip(stacked.parameters(), view, before[i]):
+                assert np.array_equal(pv, ps.data[i])
+                assert not np.array_equal(pv, old)
+        for expert, old in zip(recorded, before):
+            for a, o in zip(expert, old):
                 assert np.array_equal(a, o)
+
+    def test_recorded_experts_checkpoint_as_models_of_their_own(self, tmp_path):
+        experts = self.experts()
+        recorded = tr._recorded_params(mm.stack_models(experts))
+        for i, (e, arrays) in enumerate(zip(experts, recorded)):
+            mm.save_checkpoint(arrays, tmp_path / f"view{i}.ckpt", role="expert", index=i)
+            mm.save_checkpoint(arrays_of(e), tmp_path / f"own{i}.ckpt", role="expert", index=i)
+            assert (tmp_path / f"view{i}.ckpt").read_bytes() == \
+                (tmp_path / f"own{i}.ckpt").read_bytes()
+
+    def test_a_miss_records_an_eval_point_when_the_next_step_is_drawn(self):
+        # The copy waits until the caller has evaluated the point (README "Parameter
+        # storage"): until then the point's list is empty and the live views are read.
+        suite = small_suite()
+        config = quick_config(steps=4, eval_every=2)
+        dims = [suite[0].features.shape[1], *config.hidden_dims, suite[0].n_classes]
+        steps = tr._expert_steps(suite[:3], config, dims)
+        assert next(steps).params is None
+        point = next(steps)                             # step 1, an eval point
+        values = [[a.copy() for a in expert] for expert in point.models]
+        assert point.params == []
+        next(steps)                     # records step 1's experts, then takes step 2's update
+        assert len(point.params) == 3
+        for recorded, old, live in zip(point.params, values, point.models):
+            for a, v, w in zip(recorded, old, live):
+                assert np.array_equal(a, v) and not a.flags.writeable
+                assert not np.array_equal(w, v)          # the live view moved on
 
     def test_run_records_each_eval_points_experts(self):
         suite = small_suite()
@@ -462,12 +501,12 @@ class TestStackedExperts:
 
 class TestAggregation:
     def experts(self, n=3, dims=(4, 8, 3), seed0=30):
-        return [mm.init_mlp(list(dims), seed=seed0 + i) for i in range(n)]
+        return [arrays_of(mm.init_mlp(list(dims), seed=seed0 + i)) for i in range(n)]
 
     def test_identical_experts_degenerate(self):
-        e = mm.init_mlp([4, 8, 3], seed=40)
+        e = arrays_of(mm.init_mlp([4, 8, 3], seed=40))
         experts = [e, e, e]
-        w = mm.init_mlp([4, 8, 3], seed=41)
+        w = arrays_of(mm.init_mlp([4, 8, 3], seed=41))
         x = np.random.default_rng(0).normal(size=(5, 4))
         single = tr.softmax_np(mm.forward_array(e, x))
         for kind in (tr.AGG_AVG, tr.AGG_MS, tr.AGG_CONF, tr.AGG_DYN):
@@ -493,14 +532,9 @@ class TestAggregation:
         for b in range(6):
             assert np.array_equal(out[b], probs[ent[:, b].argmin(), b])
 
-    def test_ms_architecture_mismatch(self):
-        bad = [mm.init_mlp([4, 8, 3], 0), mm.init_mlp([4, 16, 3], 1)]
-        with pytest.raises(tr.ConfigError, match="mismatch"):
-            tr.aggregate_predict(tr.AGG_MS, bad, None, np.zeros((1, 4)))
-
     def test_dyn_weights_probabilities(self):
         experts = self.experts()
-        w = mm.init_mlp([4, 8, 3], seed=50)
+        w = arrays_of(mm.init_mlp([4, 8, 3], seed=50))
         x = np.random.default_rng(2).normal(size=(4, 4))
         out = tr.aggregate_predict(tr.AGG_DYN, experts, w, x)
         weights = tr.softmax_np(mm.forward_array(w, x))
@@ -756,7 +790,7 @@ class TestRunLifecycle:
                      held_out=suite[3])
         assert len(groups) == 2 * 6 + 1
         assert all(len(g) == len(tr.DEFAULT_HIDDEN) for g in groups[:-1])
-        assert len(closed_alive_at_forward) > 12 and not any(closed_alive_at_forward)
+        assert len(closed_alive_at_forward) == 12 and not any(closed_alive_at_forward)
         assert alive_at_eval == [0, 0, 0]
 
     def test_teacher_run_is_freed_before_the_guided_run(self, monkeypatch):
@@ -777,9 +811,9 @@ class TestRunLifecycle:
 
 
 def reference_expert_probe_losses(run, sources):
-    """Each selected expert, rebuilt from its record, on its own domain's probe rows."""
+    """Each selected expert's recorded arrays on its own domain's probe rows."""
     probe, losses = run.probe, np.zeros(len(run.probe.y))
-    for e, ds in zip(run.selected_expert_models(), sources):
+    for e, ds in zip(run.selected.expert_params, sources):
         mask = probe.domain_ids == ds.domain_id
         q = np.maximum(tr.softmax_np(mm.forward_array(e, probe.x[mask])), ad.LOG_FLOOR)
         losses[mask] = -(one_hot(probe.y[mask], ds.n_classes) * np.log(q)).sum(axis=1)
@@ -789,7 +823,7 @@ def reference_expert_probe_losses(run, sources):
 class TestScoring:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("kind", [tr.LFME, tr.KD_QQ, tr.ERMP_W_EXPT, tr.AGG_AVG, tr.AGG_DYN])
-    def test_expert_probe_losses_match_the_rebuilt_experts(self, kind, optimizer):
+    def test_expert_probe_losses_match_the_recorded_experts(self, kind, optimizer):
         # At lr 0.05 the selected point is an earlier one in 9 of these 10 runs.
         suite = small_suite()
         run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(
@@ -800,15 +834,14 @@ class TestScoring:
         assert np.array_equal(run.expert_probe_losses, expected)
 
     # lfme scores with the target alone; agg_dyn with 3 expert copies and the weighting net.
-    @pytest.mark.parametrize("kind, expert_builds, n_models", [(tr.LFME, 0, 1), (tr.AGG_DYN, 1, 4)])
-    def test_scoring_reads_only_the_records(self, monkeypatch, kind, expert_builds, n_models):
-        # After the last evaluation only the held-out rows are forwarded, by models
-        # built from the selected record, with the flat data buffers of both
-        # optimizers, the experts' and the head's, already dead.
-        buffers, evals_done, forwards, builds = [], [], [], []
+    @pytest.mark.parametrize("kind, n_models", [(tr.LFME, 1), (tr.AGG_DYN, 4)])
+    def test_scoring_reads_only_the_records(self, monkeypatch, kind, n_models):
+        # After the last evaluation only the held-out rows are forwarded, through the
+        # selected record's arrays, with the flat data buffers of both optimizers, the
+        # experts' and the head's, already dead.
+        buffers, evals_done, forwards = [], [], []
         make_optimizer, evaluate = tr.make_optimizer, tr._evaluate
         forward_array = mm.forward_array
-        selected_expert_models = tr.RunResult.selected_expert_models
 
         def recording_make_optimizer(params, config):
             opt = make_optimizer(params, config)
@@ -824,15 +857,9 @@ class TestScoring:
             forwards.append((len(evals_done), x, all(ref() is None for ref in buffers)))
             return forward_array(model, x)
 
-        def recording_selected_expert_models(run):
-            builds.append(len(evals_done))
-            return selected_expert_models(run)
-
         monkeypatch.setattr(tr, "make_optimizer", recording_make_optimizer)
         monkeypatch.setattr(tr, "_evaluate", recording_evaluate)
         monkeypatch.setattr(mm, "forward_array", recording_forward_array)
-        monkeypatch.setattr(tr.RunResult, "selected_expert_models",
-                            recording_selected_expert_models)
         suite = small_suite()
         run = tr.train_run(suite[:3], tr.MethodSpec(kind), quick_config(steps=6, eval_every=2),
                            held_out=suite[3])
@@ -840,7 +867,6 @@ class TestScoring:
         scoring = [(x, dead) for n, x, dead in forwards if n == 3]
         assert len(scoring) == n_models
         assert all(x is suite[3].features and dead for x, dead in scoring)
-        assert builds == [3] * expert_builds
         assert run.ood_accuracy is not None
 
 

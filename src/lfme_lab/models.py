@@ -121,12 +121,24 @@ def atomic_write(path, writer, binary=False):
         raise
 
 
+def checked_dims(arrays) -> list[int]:
+    """The layer dims of one model's parameter list [w0, b0, w1, b1, ...]; a ValueError
+    unless its shapes are (weight, bias) pairs of positive widths that chain."""
+    shapes = [np.shape(a) for a in arrays]
+    dims = [*shapes[0][:1], *(s[-1] for s in shapes[1::2] if s)] if shapes else []
+    chained = [s for fan_in, fan_out in zip(dims, dims[1:])
+               for s in ((fan_in, fan_out), (fan_out,))]
+    if len(dims) < 2 or min(dims) <= 0 or shapes != chained:
+        raise ValueError(f"parameter shapes {shapes} are not (weight, bias) pairs that chain")
+    return dims
+
+
 def save_checkpoint(arrays, path, *, role="target", index=0, step=0, seed=0):
     """Little-endian binary: magic, version, role, index, step, seed, dims, params.
     ``arrays`` is a parameter list [w0, b0, w1, b1, ...]; the dims are read off it."""
     if role not in ROLE_CODES:
         raise ValueError(f"unknown role {role!r}")
-    dims = [arrays[0].shape[0], *(b.shape[0] for b in arrays[1::2])]
+    dims = checked_dims(arrays)
 
     def writer(f):
         f.write(CHECKPOINT_MAGIC)

@@ -162,6 +162,20 @@ class TestCheckpoint:
         x = np.random.default_rng(1).normal(size=(8, 5))
         assert np.array_equal(mm.forward_array(arrays(m), x), mm.forward_array(loaded, x))
 
+    @pytest.mark.parametrize("shapes", [
+        [(4, 8)],                                   # a weight without its bias
+        [(4, 8), (8,), (6, 3), (3,)],               # 8 -> 6 does not chain
+        [(4, 8), (7,)],                             # bias width differs from the weight's
+        [(2, 4, 8), (2, 8)],                        # a stacked pair
+        [(4, 0), (0,)],                             # zero width
+        [],
+    ])
+    def test_shapes_that_do_not_chain_rejected(self, tmp_path, shapes):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="chain"):
+            mm.save_checkpoint([np.zeros(s) for s in shapes], path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file(self, tmp_path):
         m = mm.init_mlp([4, 8, 3], seed=8)
         path = tmp_path / "m.ckpt"
